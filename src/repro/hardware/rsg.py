@@ -93,29 +93,31 @@ class RSGArray:
         if merges == 0:
             return MergeResult(alive=alive, degrees=degrees, merge_fusions=0)
 
+        alive_flat = alive.ravel()
+        degrees_flat = degrees.ravel()
         for _ in range(merges):
             # Budget for each join: a failed root-leaf fusion costs one leaf
             # of the accumulated star and one of the joiner; retries continue
             # while both sides keep >= 1 leaf to offer (collective retry,
             # Section 4.3).  On success the joiner's remaining leaves attach
             # to the accumulated root: degree -> degree - 1 + joiner_leaves.
-            joiner = np.full((n, n), star_degree, dtype=np.int64)
-            pending = alive.copy()
-            while pending.any():
-                attemptable = pending & (degrees >= 1) & (joiner >= 1)
-                exhausted = pending & ~attemptable
-                alive[exhausted] = False
-                pending[exhausted] = False
-                count = int(attemptable.sum())
-                if count == 0:
-                    break
-                outcomes = device.attempt_batch(count, "root-leaf")
-                merge_fusions += count
-                success = np.zeros((n, n), dtype=bool)
-                success[attemptable] = outcomes
-                failure = attemptable & ~success
-                degrees[success] += joiner[success] - 1
-                pending[success] = False
-                degrees[failure] -= 1
-                joiner[failure] -= 1
+            # ``pending`` lists the sites still joining, in row-major order,
+            # so each batch of outcomes lands on the same sites as a
+            # full-grid mask would give them.
+            pending = np.flatnonzero(alive_flat)
+            joiner = np.full(pending.size, star_degree, dtype=np.int64)
+            while pending.size:
+                attemptable = (degrees_flat[pending] >= 1) & (joiner >= 1)
+                if not attemptable.all():
+                    alive_flat[pending[~attemptable]] = False
+                    pending = pending[attemptable]
+                    joiner = joiner[attemptable]
+                    if not pending.size:
+                        break
+                outcomes = device.attempt_batch(pending.size, "root-leaf")
+                merge_fusions += pending.size
+                degrees_flat[pending] += np.where(outcomes, joiner - 1, -1)
+                failed = np.flatnonzero(~outcomes)
+                pending = pending[failed]
+                joiner = joiner[failed] - 1
         return MergeResult(alive=alive, degrees=degrees, merge_fusions=merge_fusions)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,20 +66,55 @@ def _frontier_engine() -> tuple | None:
     return _FRONTIER_ENGINE or None
 
 
-def frontier_adjacency(
-    sources: np.ndarray, targets: np.ndarray, node_count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR adjacency ``(indptr, indices)`` from directed edge lists.
+#: Out-edge slots per grid node in a fixed-degree frontier graph: one per
+#: grid move, in the scalar BFS move order ``(-1,0), (1,0), (0,-1), (0,1)``.
+FRONTIER_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
-    The stable sort keeps each node's out-edges in the order they appear in
-    ``sources``/``targets`` — that order is the tie-break contract of
-    :func:`frontier_bfs`, which is how the renormalization path search
-    encodes the scalar BFS's deterministic move order into the graph.
+
+@lru_cache(maxsize=8)
+def _frontier_template(
+    rows: int, cols: int, lanes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached, read-only ``(indptr, nodes, deltas)`` of a grid shape.
+
+    ``nodes`` and ``deltas`` hold, per grid slot, the slot's own node and
+    its move's one-cell step in flat indices, both int32.
     """
-    order = np.argsort(sources, kind="stable")
-    indices = targets[order].astype(np.int32, copy=False)
-    indptr = np.zeros(node_count + 1, dtype=np.int32)
-    np.cumsum(np.bincount(sources, minlength=node_count), out=indptr[1:])
+    total = rows * cols
+    slots = len(FRONTIER_MOVES)
+    indptr = np.append(
+        np.arange(0, slots * total + 1, slots, dtype=np.int32),
+        np.int32(slots * total + lanes),
+    )
+    nodes = np.repeat(np.arange(total, dtype=np.int32), slots)
+    steps = np.array([d_row * cols + d_col for d_row, d_col in FRONTIER_MOVES], np.int32)
+    deltas = np.tile(steps, total)
+    for array in (indptr, nodes, deltas):
+        array.setflags(write=False)
+    return indptr, nodes, deltas
+
+
+def frontier_graph(
+    codes: np.ndarray, lane_targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of a fixed-degree frontier graph on a grid.
+
+    ``codes`` is ``(rows, cols, len(FRONTIER_MOVES))`` uint8, one code per
+    grid node and move of :data:`FRONTIER_MOVES`: ``0`` unused, ``1`` or
+    ``2`` an edge to the node one or two cells along the move.  Node
+    ``r * cols + c`` owns its slots in move order, and a virtual
+    super-source (node ``rows * cols``) owns one slot per entry of
+    ``lane_targets``, in order.  An unused slot is a self-loop, which
+    :func:`frontier_bfs` walks without effect (a popped node is already
+    seen), so every graph of one shape shares a cached ``indptr`` and
+    per-slot node and step arrays, and a graph costs one multiply-add.
+    """
+    rows, cols, _ = codes.shape
+    indptr, nodes, deltas = _frontier_template(rows, cols, lane_targets.size)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    np.multiply(codes.ravel(), deltas, out=indices[: nodes.size])
+    indices[: nodes.size] += nodes
+    indices[nodes.size :] = lane_targets
     return indptr, indices
 
 
@@ -152,25 +188,13 @@ def grid_spans(
     Shapes follow :func:`label_grid_components` (``alive`` is ``(R, C)``,
     ``horizontal`` bonds along axis 1, ``vertical`` along axis 0).  This is
     the relaxed spanning question behind the renormalization strip
-    pre-check; see :func:`grid_spans_from_usable` for the engine.
+    pre-check.  With scipy present the answer is one compiled BFS over a
+    :func:`frontier_graph` from a virtual source hooked to the
+    first row; otherwise it falls back to the same label propagation that
+    powers ``PercolatedLattice.components()``.
     """
     usable_across = horizontal & alive[:, :-1] & alive[:, 1:]
     usable_down = vertical & alive[:-1, :] & alive[1:, :]
-    return grid_spans_from_usable(alive, usable_across, usable_down)
-
-
-def grid_spans_from_usable(
-    alive: np.ndarray, usable_across: np.ndarray, usable_down: np.ndarray
-) -> bool:
-    """:func:`grid_spans` on pre-masked bonds (both endpoints known alive).
-
-    The split exists so the vectorized path search can hand over the very
-    masks it is about to expand the wavefront with — a positive pre-check
-    then seeds the search instead of being recomputed from scratch.  With
-    scipy present the answer is one compiled BFS from a virtual source
-    hooked to the first row; otherwise it falls back to the same label
-    propagation that powers ``PercolatedLattice.components()``.
-    """
     if alive.size == 0 or not alive.any():
         return False
     rows, cols = alive.shape
@@ -184,15 +208,12 @@ def grid_spans_from_usable(
             return False
         return bool(np.intersect1d(first_roots, last_roots, assume_unique=True).size)
     total = rows * cols
-    flat = np.arange(total, dtype=np.int64).reshape(rows, cols)
-    across = flat[:, :-1][usable_across]
-    down = flat[:-1, :][usable_down]
-    starts = flat[0][alive[0]]
-    sources = np.concatenate(
-        [across, across + 1, down, down + cols, np.full(starts.size, total, np.int64)]
-    )
-    targets = np.concatenate([across + 1, across, down + cols, down, starts])
-    indptr, indices = frontier_adjacency(sources, targets, total + 1)
+    codes = np.zeros((rows, cols, len(FRONTIER_MOVES)), dtype=np.uint8)
+    codes[1:, :, 0] = usable_down
+    codes[:-1, :, 1] = usable_down
+    codes[:, 1:, 2] = usable_across
+    codes[:, :-1, 3] = usable_across
+    indptr, indices = frontier_graph(codes, np.where(alive[0], np.arange(cols), total))
     order, _ = frontier_bfs(indptr, indices, total)
     return bool((order // cols == rows - 1).any())
 

@@ -9,13 +9,15 @@ every other qubit is measured out in Z.
 
 Two mechanics from the paper:
 
-* **connectivity check before search** — a per-strip spanning check answers
-  "is there any path at all?" cheaply before the BFS runs (negative checks
-  are the common case near threshold).  The hot path is the same vectorized
-  numpy label propagation that powers ``PercolatedLattice.components()``
-  (:func:`strip_spans`); the original scalar union-find survives as the
-  oracle (:func:`strip_spans_dsu`) behind ``renormalize``'s ``precheck``
-  switch;
+* **connectivity check** — a per-strip spanning check answers "is there
+  any path at all?" on the relaxed graph that ignores crossing constraints
+  (negative checks are the common case near threshold).  It is
+  :func:`strip_spans`, one compiled BFS, with the original scalar
+  union-find kept as the oracle (:func:`strip_spans_dsu`) behind
+  ``renormalize``'s ``precheck`` switch.  The scalar path search asks it
+  first; the vector path search asks it only after its own search failed,
+  since a found path already proves the strip spans.  Both charge the same
+  visited sites, so the order never shows in results;
 * **tangling prevention** — distinct same-orientation paths must stay
   disjoint, and a path may touch a perpendicular path only by crossing it
   straight through (the crossing site becoming a renormalized node).  The
@@ -35,11 +37,11 @@ import numpy as np
 
 from repro.errors import RenormalizationError
 from repro.online.percolation import (
+    FRONTIER_MOVES,
     PercolatedLattice,
-    frontier_adjacency,
     frontier_bfs,
+    frontier_graph,
     grid_spans,
-    grid_spans_from_usable,
 )
 from repro.utils.gridgeom import Coord2D
 
@@ -63,8 +65,7 @@ def _strip_arrays(
     Returns ``(alive, across, along)``: the ``(n, w)`` liveness view, the
     ``(n, w-1)`` bonds across the strip width, and the ``(n-1, w)`` bonds
     along the spanning axis.  Row bands are transposed so both orientations
-    share one top-to-bottom geometry — the convention of both
-    :func:`strip_spans` and the vectorized path search.
+    share the one top-to-bottom geometry :func:`strip_spans` expects.
     """
     if vertical:
         alive = lattice.sites[:, low:high]
@@ -85,11 +86,9 @@ def strip_spans(
     Runs on the relaxed graph that ignores crossing constraints, so a
     negative answer is definitive while a positive one still needs BFS.
     The strip subgrid is handed (transposed for row bands, so the spanning
-    axis is always rows) to :func:`~repro.online.percolation.grid_spans` —
-    the same frontier engine the vectorized path search expands with, and
-    the same one that powers ``PercolatedLattice.components()`` when scipy
-    is absent.  Negative checks dominate near threshold, which is what
-    makes this the renormalization hot path worth vectorizing.
+    axis is always rows) to :func:`~repro.online.percolation.grid_spans`,
+    one compiled BFS over the same kind of fixed-degree template graph the
+    vectorized path search uses.
     """
     alive, across, along = _strip_arrays(lattice, vertical, low, high)
     if alive.size == 0:
@@ -181,27 +180,10 @@ class RenormalizationResult:
         return rsl / max(1, self.lattice_size)
 
 
-#: Scalar BFS move order, rewritten as (d_span, d_lane) steps in the strip
-#: view of :func:`_strip_arrays`.  The scalar generator walks grid moves
-#: ((-1,0),(1,0),(0,-1),(0,1)); for row bands the view is transposed, so the
-#: view-space order swaps — preserving this order is what keeps the
-#: vectorized search's tie-breaks byte-identical to the deque BFS.
-_VIEW_MOVES = {
-    True: ((-1, 0), (1, 0), (0, -1), (0, 1)),
-    False: ((0, -1), (0, 1), (-1, 0), (1, 0)),
-}
-
-
-def _shift(array: np.ndarray, d_span: int, d_lane: int) -> np.ndarray:
-    """``array`` sampled at ``cell + d``, indexed at ``cell`` (OOB -> False)."""
-    rows, cols = array.shape
-    out = np.zeros((rows, cols), dtype=bool)
-    r_lo, r_hi = max(d_span, 0), rows + min(d_span, 0)
-    c_lo, c_hi = max(d_lane, 0), cols + min(d_lane, 0)
-    out[r_lo - d_span : r_hi - d_span, c_lo - d_lane : c_hi - d_lane] = array[
-        r_lo:r_hi, c_lo:c_hi
-    ]
-    return out
+#: Margin of dead cells around the carver's padded ownership grid and bond
+#: planes.  A two-hop crossing reads two cells past its source, so with two
+#: cells of padding every shifted mask the path search needs is a slice.
+_PAD = 2
 
 
 class _Carver:
@@ -222,12 +204,21 @@ class _Carver:
                 f"unknown pathfind {pathfind!r}; use one of: {', '.join(PATHFINDS)}"
             )
         self.lattice = lattice
-        self.size = lattice.size
-        self.owner = np.full((self.size, self.size), _FREE, dtype=np.uint8)
-        self.owner[~lattice.sites] = _DEAD
+        n = self.size = lattice.size
+        self._owner_padded = np.full((n + 2 * _PAD, n + 2 * _PAD), _DEAD, dtype=np.uint8)
+        self.owner = self._owner_padded[_PAD : _PAD + n, _PAD : _PAD + n]
+        self.owner[lattice.sites] = _FREE
+        # Per-RSL bond planes on the same padded grid, 0xFF where a bond is
+        # open: ``_bonds_down[r, c]`` joins cells (r, c) and (r+1, c),
+        # ``_bonds_right[r, c]`` joins (r, c) and (r, c+1).  Raw sampled
+        # bonds suffice: the search only follows a bond onto a free or
+        # perpendicular-owned cell, and both imply a live site at each end.
+        self._bonds_down = np.zeros(self._owner_padded.shape, dtype=np.uint8)
+        self._bonds_down[_PAD : _PAD + n - 1, _PAD : _PAD + n][lattice.vertical] = 0xFF
+        self._bonds_right = np.zeros(self._owner_padded.shape, dtype=np.uint8)
+        self._bonds_right[_PAD : _PAD + n, _PAD : _PAD + n - 1][lattice.horizontal] = 0xFF
         self.visited_sites = 0
         self._precheck = _PRECHECK_FNS[precheck]
-        self._precheck_name = precheck
         self._pathfind_name = pathfind
 
     # -- generic helpers --------------------------------------------------
@@ -259,12 +250,6 @@ class _Carver:
         """
         self.visited_sites += self.size * (high - low)
         return self._precheck(self.lattice, vertical, low, high)
-
-    def _alive(self, coord: Coord2D) -> bool:
-        row, col = coord
-        if not (0 <= row < self.size and 0 <= col < self.size):
-            return False
-        return self.owner[coord] != _DEAD
 
     # -- BFS path search ----------------------------------------------------
 
@@ -395,170 +380,157 @@ class _Carver:
     def _find_path_vector(
         self, vertical: bool, index: int, count: int
     ) -> list[Coord2D] | None:
-        """Numpy wavefront search — byte-identical to the scalar deque BFS.
+        """Fixed-shape CSR wavefront search — byte-identical to the deque BFS.
 
-        The whole strip is compiled into one CSR frontier graph whose
-        per-node edge order encodes the scalar BFS's deterministic
-        tie-breaks (enqueue order within a level is lexicographic in
-        (parent pop order, move index)), then a single compiled breadth-
-        first traversal (:func:`~repro.online.percolation.frontier_bfs`)
-        replaces the per-cell Python loop.  Ownership semantics — one-hop
-        moves onto free sites, far-edge crossings ending on perpendicular-
-        owned sites, and two-hop straight-through crossings — become shifted
-        boolean masks over the ``owner`` view; a virtual super-source node
-        carries the near-edge start cells in lane order.  The strip
-        pre-check runs on the very same usable-bond masks, so a positive
-        check seeds the wavefront instead of being thrown away.
+        The strip plus a ``_PAD`` margin on each lane side is cut from the
+        carver's padded planes and flattened, so every shifted mask is a
+        contiguous slice.  Each cell gets one code per grid move, in the
+        scalar move order: 1 for a step onto a free cell or a far-edge
+        crossing onto a perpendicular-owned goal cell, 2 for a straight-
+        through crossing onto a free landing, 0 for nothing (the scalar
+        step kinds need distinct target states, so one code suffices).
+        :func:`~repro.online.percolation.frontier_graph` turns the codes
+        into CSR over a cached skeleton, with the near-edge start cells in
+        lane order on a super-source, and one
+        :func:`~repro.online.percolation.frontier_bfs` pops cells in the
+        scalar deque's order: the goal's pop index is the scalar visited
+        count and the predecessor walk is its path.
+
+        The strip pre-check runs only after a failed search: a constrained
+        path is also a relaxed one, so a found path already proves the
+        strip spans.  The visited-site charges are the scalar oracle's.
         """
         low, high = self._strip_range(index, count)
         if high - low < 1:
             raise RenormalizationError("strip is empty; target size too large")
         n = self.size
-        width = high - low
-        alive, bonds_across, bonds_along = _strip_arrays(
-            self.lattice, vertical, low, high
-        )
-        owner = self.owner[:, low:high] if vertical else self.owner[low:high, :].T
-
-        # Pre-check on the shared strip views.  The cost proxy charges the
-        # full strip area exactly as _strip_connected does, and a negative
-        # answer gates the search identically — only the positive case
-        # changes, reusing the masks the wavefront is about to expand with.
-        self.visited_sites += n * width
-        usable_along = bonds_along & alive[:-1, :] & alive[1:, :]
-        usable_across = bonds_across & alive[:, :-1] & alive[:, 1:]
-        if self._precheck_name == "vector":
-            if not grid_spans_from_usable(alive, usable_across, usable_along):
-                return None
-        elif not strip_spans_dsu(self.lattice, vertical, low, high):
-            return None
-
         other_owner = _HORIZONTAL if vertical else _VERTICAL
-        free = owner == _FREE
-        other = owner == other_owner
-
-        def to_grid(flat_index: int) -> Coord2D:
-            span, lane = divmod(flat_index, width)
-            return (span, low + lane) if vertical else (low + lane, span)
 
         if n == 1:
-            # Degenerate 1-wide lattice: the first perpendicular-owned lane
-            # spans it outright (before any BFS pop); otherwise the first
-            # free lane is popped once and immediately found to be the goal.
-            owned_lanes = np.flatnonzero(other[0])
-            if owned_lanes.size:
-                return [to_grid(int(owned_lanes[0]))]
-            free_lanes = np.flatnonzero(free[0])
-            if free_lanes.size:
-                self.visited_sites += 1
-                return [to_grid(int(free_lanes[0]))]
+            # Degenerate 1-wide lattice: a perpendicular-owned cell spans it
+            # outright (before any BFS pop); a free cell is popped once and
+            # immediately found to be the goal.  The pre-check charges the
+            # strip area, 1.
+            state = self.owner[0, 0]
+            if state == other_owner or state == _FREE:
+                self.visited_sites += 1 + int(state == _FREE)
+                return [(0, 0)]
+            self._strip_connected(vertical, low, high)
             return None
 
-        goal_row = n - 1
-        total = n * width
-        flat = np.arange(total, dtype=np.int64).reshape(n, width)
+        # The strip in lattice orientation: it spans along rows for a column
+        # strip and along columns for a row band.  The margin lanes beside
+        # it are masked dead so paths stay inside it.
+        if vertical:
+            rows, width = n, high - low + 2 * _PAD
+            region = np.s_[:, low : high + 2 * _PAD]
+            margins = (np.s_[:, :_PAD], np.s_[:, -_PAD:])
+        else:
+            rows, width = high - low, n + 2 * _PAD
+            region = np.s_[low : high + 2 * _PAD, :]
+            margins = (np.s_[:_PAD], np.s_[-_PAD:])
+        owner = self._owner_padded[region]
+        free = owner == _FREE
+        other = owner == other_owner
+        for margin in margins:
+            free[margin] = False
+            other[margin] = False
+        # Flat uint8 planes (0/1 states, 0/0xFF bonds): every shifted mask
+        # below is a contiguous slice.
+        free = free.ravel().view(np.uint8)
+        other = other.ravel().view(np.uint8)
+        bonds_down = self._bonds_down[region].ravel()
+        bonds_right = self._bonds_right[region].ravel()
 
-        def bond_step(d_span: int, d_lane: int) -> np.ndarray:
-            """(n, w) mask over sources: usable bond from cell to cell + d."""
-            mask = np.zeros((n, width), dtype=bool)
-            if d_span == -1:
-                mask[1:, :] = usable_along
-            elif d_span == 1:
-                mask[:-1, :] = usable_along
-            elif d_lane == -1:
-                mask[:, 1:] = usable_across
-            else:
-                mask[:, :-1] = usable_across
-            return mask
+        # Grid node q is flat padded cell q + first; the super-source is
+        # node ``total``.
+        total = rows * width
+        first = _PAD * width
 
-        sources: list[np.ndarray] = []
-        targets: list[np.ndarray] = []
-        for d_span, d_lane in _VIEW_MOVES[vertical]:
-            bonded = bond_step(d_span, d_lane)
-            can = free & bonded
-            d_flat = d_span * width + d_lane
-            # One hop onto a free site.
-            one = can & _shift(free, d_span, d_lane)
-            hop = flat[one]
-            sources.append(hop)
-            targets.append(hop + d_flat)
-            step_other = can & _shift(other, d_span, d_lane)
-            # Crossing right at the far edge: the perpendicular path's site
-            # serves as the endpoint (only reachable stepping down from
-            # goal_row - 1 or sideways along goal_row).
-            if d_span == 1:
-                edge = flat[goal_row - 1][step_other[goal_row - 1]]
-                sources.append(edge)
-                targets.append(edge + width)
-            elif d_span == 0:
-                edge = flat[goal_row][step_other[goal_row]]
-                sources.append(edge)
-                targets.append(edge + d_lane)
-            # Cross the perpendicular path straight through: stepped-on site
-            # owned and not at the goal row, a usable bond onward, and a
-            # free landing two cells out.
-            two = (
-                step_other
-                & _shift(bonded, d_span, d_lane)
-                & _shift(free, 2 * d_span, 2 * d_lane)
-            )
-            if d_span == 1:
-                two[goal_row - 1] = False
-            elif d_span == 0:
-                two[goal_row] = False
-            cross = flat[two]
-            sources.append(cross)
-            targets.append(cross + 2 * d_flat)
+        def at(plane: np.ndarray, shift: int) -> np.ndarray:
+            """``plane`` sampled at ``node + shift``, for every grid node."""
+            return plane[first + shift : first + shift + total]
 
-        # Start cells on the near edge, in lane order, hung off a virtual
-        # super-source: free cells start normally; perpendicular-owned cells
-        # are entered one row inward (the owned cell rejoins the path as a
-        # reconstruction prefix).
-        lane_free = free[0]
-        lane_inward = other[0] & free[1] & usable_along[0]
-        start = np.where(lane_free, flat[0], np.where(lane_inward, flat[1], -1))
-        start = start[start >= 0]
-        crossing_entry = {
-            int(flat[1, lane]): int(flat[0, lane])
-            for lane in np.flatnonzero(lane_inward)
-        }
-        sources.append(np.full(start.size, total, dtype=np.int64))
-        targets.append(start)
+        codes = np.empty((rows, width, len(FRONTIER_MOVES)), dtype=np.uint8)
+        slot_codes = codes.reshape(total, -1)
+        if vertical:
+            # Stepping down onto the far edge (row rows - 1).
+            into_goal, goal_line = (1, 0), np.s_[(rows - 2) * width : (rows - 1) * width]
+        else:
+            # Stepping right onto the far edge (column n - 1).
+            into_goal, goal_line = (0, 1), np.s_[_PAD + n - 2 :: width]
+        for slot, (d_row, d_col) in enumerate(FRONTIER_MOVES):
+            plane = bonds_down if d_row else bonds_right
+            d = d_row * width + d_col
+            back = min(d, 0)  # the bond joining node and node + d sits here
+            # What stepping onto node + d yields: 1 onto a free cell; 2 onto
+            # a perpendicular-owned cell crossed straight through (bond
+            # onward, free landing two cells out).
+            landing = at(other, d) & at(plane, d + back)
+            landing &= at(free, 2 * d)
+            landing <<= 1
+            landing |= at(free, d)
+            if (d_row, d_col) == into_goal:
+                # Crossing right at the far edge: the perpendicular path's
+                # site serves as the endpoint.
+                landing[goal_line] = at(free, d)[goal_line] | at(other, d)[goal_line]
+            np.bitwise_and(at(plane, back), landing, out=slot_codes[:, slot])
 
-        indptr, indices = frontier_adjacency(
-            np.concatenate(sources), np.concatenate(targets), total + 1
+        # Start cells on the near edge, in lane order: free cells start
+        # normally; perpendicular-owned cells are entered one cell inward
+        # (the owned cell rejoins the path as a reconstruction prefix).
+        if vertical:
+            edge, inward, entry_bonds = np.s_[_PAD : width - _PAD], width, bonds_down
+        else:
+            edge, inward, entry_bonds = np.s_[_PAD:total:width], 1, bonds_right
+        starts = np.arange(total, dtype=np.int32)[edge]
+        entered = at(other, 0)[edge] & at(free, inward)[edge]
+        entered &= at(entry_bonds, 0)[edge]
+        indptr, indices = frontier_graph(
+            codes, np.where(at(free, 0)[edge], starts, np.where(entered, starts + inward, total))
         )
         pop_order, parents = frontier_bfs(indptr, indices, total)
-        hits = np.flatnonzero(pop_order // width == goal_row)
+        popped = pop_order[1:]  # pop 0 is the super-source, which costs nothing
+        if vertical:
+            hits = np.flatnonzero(popped >= (rows - 1) * width)
+        else:
+            hits = np.flatnonzero(popped % width == _PAD + n - 1)
         if not hits.size:
-            # Every enqueued cell was popped without reaching the far edge;
-            # the super-source itself (pop 0) costs nothing.
-            self.visited_sites += len(pop_order) - 1
+            # Every enqueued cell was popped without reaching the far edge.
+            # Those pops count only if the pre-check lets the search run.
+            if self._strip_connected(vertical, low, high):
+                self.visited_sites += popped.size
             return None
         found = int(hits[0])
-        # Pops up to (and including) the goal: the goal's position in the
-        # FIFO order *is* the scalar BFS's visited count, super-source aside.
-        self.visited_sites += found
+        # Pops up to (and including) the goal are the scalar BFS's visited
+        # count; the pre-check the scalar search runs first charges the
+        # full strip area.
+        self.visited_sites += n * (high - low) + found + 1
 
-        path: list[int] = []
-        node = int(pop_order[found])
-        while node != total:
-            path.append(node)
-            parent = int(parents[node])
+        # Walk the predecessors goal to root.  With the lane padding every
+        # width is at least 5, so a step of 2 or 2 * width can only be a
+        # two-hop crossing, whose skipped crossing site is the midpoint.
+        two_hops = (2, -2, 2 * width, -2 * width)
+        chain = []
+        node = int(popped[found])
+        while True:
+            chain.append(node)
+            parent = parents.item(node)
             if parent == total:
-                entry = crossing_entry.get(node)
-                if entry is not None:
-                    path.append(entry)
-            else:
-                # Two-hop edges differ by 2 on exactly one view axis; the
-                # skipped crossing site is their midpoint.
-                node_span, node_lane = divmod(node, width)
-                parent_span, parent_lane = divmod(parent, width)
-                if abs(node_span - parent_span) == 2 or abs(node_lane - parent_lane) == 2:
-                    path.append((node + parent) // 2)
+                break
+            if node - parent in two_hops:
+                chain.append((node + parent) // 2)
             node = parent
-        path.reverse()
-        return [to_grid(flat_index) for flat_index in path]
+        if node not in starts:
+            # Entered one cell inward: the owned near-edge cell comes first.
+            chain.append(node - inward)
+        path_rows, path_cols = np.divmod(np.array(chain[::-1]), width)
+        if vertical:
+            path_cols += low - _PAD
+        else:
+            path_rows += low
+            path_cols -= _PAD
+        return list(zip(path_rows.tolist(), path_cols.tolist()))
 
     def claim(self, path: list[Coord2D], vertical: bool) -> None:
         """Mark a found path's sites with their orientation ownership.
@@ -566,10 +538,10 @@ class _Carver:
         Crossing sites (already owned by the perpendicular orientation) keep
         their original owner — they are exactly the renormalized nodes.
         """
+        rows, cols = np.array(path).T
+        sites = self.owner[rows, cols]
         marker = _VERTICAL if vertical else _HORIZONTAL
-        for coord in path:
-            if self.owner[coord] == _FREE:
-                self.owner[coord] = marker
+        self.owner[rows, cols] = np.where(sites == _FREE, marker, sites)
 
 
 def renormalize(
@@ -592,14 +564,14 @@ def renormalize(
     returned as a failure.
 
     ``precheck`` selects the per-strip connectivity implementation:
-    ``"vector"`` (the numpy hot path, the default) or ``"dsu"`` (the scalar
+    ``"vector"`` (the compiled BFS, the default) or ``"dsu"`` (the scalar
     union-find oracle).  ``pathfind`` likewise selects the path search:
-    ``"vector"`` (the compiled wavefront over a CSR frontier graph, the
-    default) or ``"scalar"`` (the original deque BFS oracle).  Every
-    combination agrees on every lattice — the property suite asserts
-    full-result identity across the ``pathfind x precheck`` sweep — and the
-    visited-site accounting is implementation-independent, so swapping
-    them never perturbs results or the Fig. 14 cost proxy.
+    ``"vector"`` (one compiled wavefront over a fixed-shape CSR template
+    per strip, the default) or ``"scalar"`` (the original deque BFS
+    oracle).  Every combination agrees on every lattice — the property
+    suite asserts full-result identity across the ``pathfind x precheck``
+    sweep — and the visited-site accounting is implementation-independent,
+    so swapping them never perturbs results or the Fig. 14 cost proxy.
     """
     if target_size < 1:
         raise RenormalizationError(f"target size must be >= 1, got {target_size}")

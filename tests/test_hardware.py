@@ -1,6 +1,9 @@
 """Tests for the hardware model: config, fusion device, delay lines, RSGs."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import merge_layers_reference
 
 from repro.errors import HardwareError
 from repro.graphstate import ResourceStateSpec
@@ -192,3 +195,29 @@ class TestRSGArray:
         assert not result.alive.all()
         assert result.alive.any()
         assert (result.degrees[result.alive] >= 1).all()
+
+
+@given(
+    st.integers(2, 40),
+    st.integers(4, 7),
+    st.floats(0.3, 1.0),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_merge_layers_matches_full_mask_reference(rsl_size, star_size, rate, seed):
+    """The indexed merge must reproduce the full-mask reference exactly:
+    alive sites, leaf budgets, fusion count, and the device RNG state (so
+    every later draw of a compile is unchanged)."""
+    config = HardwareConfig(
+        rsl_size=rsl_size, resource_state=ResourceStateSpec(star_size)
+    )
+    device = FusionDevice(rate, rng=seed)
+    reference_device = FusionDevice(rate, rng=seed)
+    result = RSGArray(config).merge_layers(device)
+    expected = merge_layers_reference(config, reference_device)
+    assert np.array_equal(result.alive, expected.alive)
+    assert np.array_equal(result.degrees, expected.degrees)
+    assert result.degrees.dtype == expected.degrees.dtype
+    assert result.merge_fusions == expected.merge_fusions
+    assert device.tally == reference_device.tally
+    assert device.rng.bit_generator.state == reference_device.rng.bit_generator.state

@@ -178,19 +178,24 @@ def pathfind_cases(draw):
 
     Sizes start at 1 to cover the degenerate single-row/owned-lane start
     branches; the optional budget exercises mid-carve truncation, whose
-    cut point depends on exact visited-site accounting.
+    cut point depends on exact visited-site accounting.  Lossy lattices
+    just above the bond threshold (p 0.45-0.6) make strips that do not
+    span, where the vector search fails first and the deferred pre-check
+    decides the visited-site charge.
     """
     size = draw(st.integers(1, 24))
     target = draw(st.integers(1, size))
-    bond_probability = draw(st.sampled_from([0.5, 0.6, 0.72, 0.85, 1.0]))
-    loss = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))
+    bond_probability = draw(
+        st.one_of(st.sampled_from([0.5, 0.6, 0.72, 0.85, 1.0]), st.floats(0.45, 0.6))
+    )
+    loss = draw(st.sampled_from([0.0, 0.0, 0.05, 0.15, 0.3]))
     budget = draw(st.one_of(st.none(), st.integers(1, 4 * size * size)))
     seed = draw(st.integers(0, 2**31 - 1))
     return size, target, bond_probability, loss, budget, seed
 
 
 @given(pathfind_cases())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_pathfind_precheck_sweep_full_result_identity(case):
     """Every pathfind x precheck combination must agree on *everything*:
     success, paths, node grid, visited-site count, and where a work budget
@@ -213,6 +218,28 @@ def test_pathfind_precheck_sweep_full_result_identity(case):
                 assert _result_tuple(result) == reference, (pathfind, precheck)
 
 
+def test_far_edge_crossing_ends_on_perpendicular_path():
+    """The last horizontal path may end on a site of the last vertical path
+    at the far edge.  Here the only vertical bonds run down column 2, so the
+    vertical path claims all of it, and every horizontal route ends by
+    stepping onto that claimed column: the far-edge crossing is the only
+    way across, for both path searches."""
+    sites = np.ones((3, 3), dtype=bool)
+    horizontal = np.ones((3, 2), dtype=bool)
+    vertical = np.zeros((2, 3), dtype=bool)
+    vertical[:, 2] = True
+    lattice = percolation.PercolatedLattice(sites, horizontal, vertical)
+    results = [
+        _result_tuple(renormalize(lattice.copy(), 1, pathfind=pathfind))
+        for pathfind in PATHFINDS
+    ]
+    assert results[0] == results[1]
+    result = renormalize(lattice.copy(), 1)
+    assert result.success
+    assert result.vertical_paths == [[(0, 2), (1, 2), (2, 2)]]
+    assert result.horizontal_paths == [[(0, 0), (0, 1), (0, 2)]]
+
+
 @given(pathfind_cases())
 @settings(max_examples=20, deadline=None)
 def test_pure_python_frontier_engine_is_identical(case):
@@ -230,6 +257,22 @@ def test_pure_python_frontier_engine_is_identical(case):
     assert _result_tuple(fallback) == _result_tuple(compiled)
 
 
+def frontier_adjacency(sources, targets, node_count):
+    """Compacted CSR ``(indptr, indices)`` from directed edge lists.
+
+    The stable sort keeps each node's out-edges in the order they appear in
+    ``sources``/``targets`` — the tie-break order :func:`frontier_bfs`
+    walks.  The product builds fixed-degree template graphs instead
+    (:func:`percolation.frontier_graph`); this is the reference layout
+    the template's self-loop padding is checked against.
+    """
+    order = np.argsort(sources, kind="stable")
+    indices = targets[order].astype(np.int32, copy=False)
+    indptr = np.zeros(node_count + 1, dtype=np.int32)
+    np.cumsum(np.bincount(sources, minlength=node_count), out=indptr[1:])
+    return indptr, indices
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.floats(0.0, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
@@ -240,7 +283,7 @@ def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
     edge_count = int(degree * nodes)
     sources = rng.integers(0, nodes, edge_count)
     targets = rng.integers(0, nodes, edge_count)
-    indptr, indices = percolation.frontier_adjacency(sources, targets, nodes)
+    indptr, indices = frontier_adjacency(sources, targets, nodes)
     source = int(rng.integers(0, nodes))
     python_order, python_pred = percolation._frontier_bfs_python(
         indptr, indices, source
@@ -248,6 +291,58 @@ def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
     order, pred = percolation.frontier_bfs(indptr, indices, source)
     assert np.array_equal(order, python_order)
     assert np.array_equal(pred, python_pred)
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_template_self_loops_match_compacted_csr(seed, rows, cols, density, by_rows):
+    """A fixed-degree template graph whose unused slots are self-loops must
+    traverse exactly like the compacted CSR of its live edges: same pop
+    order, same predecessors, on both frontier engines.  This is the
+    contract the path search's per-query slot codes rely on."""
+    rng = np.random.default_rng(seed)
+    total = rows * cols
+    # Random slot codes (0 unused, 1 or 2 cells along the move), kept only
+    # where the target stays on the grid.
+    codes = rng.choice(
+        3, size=(rows, cols, len(percolation.FRONTIER_MOVES)),
+        p=[1 - density, density / 2, density / 2],
+    )
+    grid_rows, grid_cols = np.indices((rows, cols))
+    for slot, (d_row, d_col) in enumerate(percolation.FRONTIER_MOVES):
+        target_rows = grid_rows + codes[:, :, slot] * d_row
+        target_cols = grid_cols + codes[:, :, slot] * d_col
+        off_grid = (
+            (target_rows < 0) | (target_rows >= rows)
+            | (target_cols < 0) | (target_cols >= cols)
+        )
+        codes[:, :, slot][off_grid] = 0
+    lanes = np.arange(0, total, cols) if by_rows else np.arange(cols)
+    indptr, indices = percolation.frontier_graph(
+        codes.astype(np.uint8), np.where(rng.random(lanes.size) < density, lanes, total)
+    )
+    # The same graph, compacted: drop every self-loop, keep slot order.
+    owners = np.repeat(np.arange(total + 1), np.diff(indptr))
+    live = indices != owners
+    compact_ptr, compact_idx = frontier_adjacency(
+        owners[live], indices[live], total + 1
+    )
+    for engine in (None, False):
+        original = percolation._FRONTIER_ENGINE
+        percolation._FRONTIER_ENGINE = engine  # None: scipy; False: pure python
+        try:
+            template_run = percolation.frontier_bfs(indptr, indices, total)
+            compact_run = percolation.frontier_bfs(compact_ptr, compact_idx, total)
+        finally:
+            percolation._FRONTIER_ENGINE = original
+        assert np.array_equal(template_run[0], compact_run[0])
+        assert np.array_equal(template_run[1], compact_run[1])
 
 
 def _intersections_quadratic(vertical_paths, horizontal_paths):
