@@ -1,8 +1,8 @@
 """Determinism suite: every runner backend reproduces the golden records.
 
 For each registered experiment, the bench-scale run is executed on the
-thread and process runners (with per-experiment worker counts, so several
-pool widths are exercised across the suite) and the canonical records are
+process runner (with per-experiment worker counts, so several pool widths
+are exercised across the suite) and the canonical records are
 asserted byte-identical to the checked-in golden snapshots — which the
 regeneration benches already hold the *serial* runner to.  Together that is
 the paper-level guarantee: scale/seed fix the records; the backend and the
@@ -17,40 +17,31 @@ from repro import obs
 from repro.experiments import experiment_names, get_experiment, make_runner
 
 #: Worker counts per experiment — deliberately varied so the suite covers
-#: single-worker pools, odd widths, and more workers than jobs-per-group.
+#: odd widths and more workers than jobs-per-group.
 WORKER_COUNTS = {
-    "table2": (2, 3),
-    "table3": (3, 2),
-    "fig12": (4, 2),
-    "fig13": (2, 4),
-    "fig14": (3, 3),
-    "fig15": (1, 4),
-    "fig16": (4, 3),
-    "loss": (2, 2),
-    "passes": (2, 3),
+    "table2": 3,
+    "table3": 2,
+    "fig12": 2,
+    "fig13": 4,
+    "fig14": 3,
+    "fig15": 4,
+    "fig16": 3,
+    "loss": 2,
+    "passes": 3,
 }
 
 
 @pytest.mark.parametrize("name", experiment_names())
-def test_thread_runner_matches_golden(name, once):
-    # .get: an experiment registered after this table still gets covered.
-    thread_workers, _ = WORKER_COUNTS.get(name, (2, 2))
-    runner = make_runner("thread", max_workers=thread_workers)
-    result = once(get_experiment(name).run, "bench", 0, runner)
-    assert result.runner == "thread"
-    assert_matches_golden(name, result.records)
-
-
-@pytest.mark.parametrize("name", experiment_names())
 def test_process_runner_matches_golden(name, once):
-    _, process_workers = WORKER_COUNTS.get(name, (2, 2))
+    # .get: an experiment registered after this table still gets covered.
+    process_workers = WORKER_COUNTS.get(name, 2)
     runner = make_runner("process", max_workers=process_workers)
     result = once(get_experiment(name).run, "bench", 0, runner)
     assert result.runner == "process"
     assert_matches_golden(name, result.records)
 
 
-@pytest.mark.parametrize("runner_kind", ["serial", "thread", "process", "sharded"])
+@pytest.mark.parametrize("runner_kind", ["serial", "process", "sharded"])
 def test_scalar_pathfind_matches_golden_on_every_runner(runner_kind):
     """The scalar path-search oracle reproduces the golden records — which
     the regeneration bench pins to the default *vector* pathfinder — on
@@ -67,7 +58,7 @@ def test_scalar_pathfind_matches_golden_on_every_runner(runner_kind):
     assert_matches_golden("fig14", result.records)
 
 
-@pytest.mark.parametrize("runner_kind", ["serial", "thread", "process", "sharded"])
+@pytest.mark.parametrize("runner_kind", ["serial", "process", "sharded"])
 def test_rewrite_off_matches_golden_on_every_runner(runner_kind):
     """Disabling the pattern-rewrite pass reproduces the golden records —
     which the regeneration bench pins to the default ``rewrite="on"`` chain

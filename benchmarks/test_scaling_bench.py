@@ -1,7 +1,7 @@
 """Parallel-runner scaling snapshot: warm pools must not lose to serial.
 
-``BENCH_experiments.json`` exposed the PR-9 bug: the thread/process
-runners *lost* to serial at bench scale because every run paid pool
+``BENCH_experiments.json`` exposed the PR-9 bug: the pool runners
+*lost* to serial at bench scale because every run paid pool
 startup and a pickle round trip per job.  This bench pins the fix.  A
 12-job compile sweep (four benchmark families x three seeds) runs on
 every backend with the pools already warm — the steady state the warm
@@ -12,7 +12,7 @@ pool registry exists to provide — and the snapshot in
 Two gates:
 
 * **Determinism**: canonical records are byte-identical across
-  serial/thread/process/sharded with pools warm, chunked, and reused.
+  serial/process/sharded with pools warm, chunked, and reused.
 * **The floor**: on a multi-core machine the process runner must be at
   least as fast as serial (speedup >= 1.0) — parallelism that subtracts
   performance is the bug this PR fixed.  On a single-core machine
@@ -51,7 +51,6 @@ FLOOR_SINGLE_CORE = 0.85
 
 BACKENDS = (
     ("serial", {}),
-    ("thread", {"max_workers": WORKERS}),
     ("process", {"max_workers": WORKERS}),
     ("sharded", {"shards": WORKERS}),
 )

@@ -1,6 +1,6 @@
 """Sharded/streamed determinism: both paths reproduce the golden records.
 
-Extends the serial/thread/process matrix (benchmarks/
+Extends the serial/process matrix (benchmarks/
 test_experiment_determinism.py) to the two execution modes this layer
 added last: every registered experiment is run (a) on the sharded runner —
 per-experiment shard counts, subprocess shards, DiskCache artifact

@@ -1,7 +1,7 @@
 """Regenerate every table and figure of the paper's evaluation.
 
 Run:  python examples/reproduce_all.py [bench|paper] [output.md]
-                                       [--runner serial|thread|process|sharded]
+                                       [--runner serial|process|sharded]
                                        [--workers N] [--shards N]
                                        [--cache-dir DIR]
 

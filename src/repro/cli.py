@@ -411,7 +411,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.workers is not None and args.runner == "serial":
         print(
             "note: the serial runner ignores --workers; pass "
-            "--runner thread|process for a parallel run",
+            "--runner process for a parallel run",
             file=sys.stderr,
         )
     if args.runner != "serial":
@@ -737,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="jobs per pool dispatch for --runner thread|process "
+        help="jobs per pool dispatch for --runner process "
         "(default: auto-sized ~jobs/(4*workers); records are identical "
         "for any N)",
     )

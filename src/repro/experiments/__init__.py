@@ -52,7 +52,6 @@ from repro.experiments.runners import (
     ShardedRunner,
     ShardOutcome,
     ShardTask,
-    ThreadRunner,
     make_runner,
     run_chunk,
     run_shard,
@@ -84,7 +83,6 @@ __all__ = [
     "ShardOutcome",
     "ShardTask",
     "ShardedRunner",
-    "ThreadRunner",
     "UnknownExperimentError",
     "canonical_json",
     "override_pathfind",

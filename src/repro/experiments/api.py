@@ -3,11 +3,10 @@
 An :class:`Experiment` describes one table/figure of the paper's evaluation
 declaratively: it *builds jobs* (units of work) and *reduces records*
 (structured results) — it never executes anything itself.  Execution belongs
-to a pluggable runner (:mod:`repro.experiments.runners`): compile jobs are
-batched through ``Pipeline.compile_many`` and function jobs through the
-runner's shared pool, so the same job list can run serially, across a
-thread pool, a process pool, or a sharded subprocess fleet with
-bit-identical records.  Execution also *streams*:
+to a pluggable runner (:mod:`repro.experiments.runners`), which executes
+compile and function jobs through one execution core, so the same job list
+can run serially, across a process pool, or on a sharded subprocess fleet
+with bit-identical records.  Execution also *streams*:
 :meth:`Experiment.iter_records` yields records in canonical order as jobs
 finish, and :meth:`ExperimentResult.from_stream` folds a drained stream
 into the same result a blocking run produces.
@@ -21,7 +20,7 @@ Two job kinds exist:
 
 * :class:`CompileJob` — one (benchmark circuit, :class:`PipelineSettings`)
   compilation, OnePerc or the OneQ baseline.  Runners group these by
-  settings and dispatch each group as one ``compile_many`` batch.
+  settings so each group shares one pipeline.
 * :class:`FnJob` — an arbitrary *module-level* function (picklable for the
   process pool) returning a dict of record fields, optionally paired with a
   dict of wall-clock timings.
@@ -77,9 +76,9 @@ class Job:
 class CompileJob(Job):
     """Compile one benchmark circuit under one settings object.
 
-    Runners group compile jobs by ``(settings, baseline)`` and execute each
-    group as a single ``Pipeline.compile_many`` batch, which is where the
-    backend (serial/thread/process) and worker count plug in.
+    Runners group compile jobs by ``(settings, baseline)`` and compile
+    every job of a group on that group's one (cache-wrapped) pipeline,
+    whichever backend (serial/process/sharded) runs it.
     """
 
     family: str

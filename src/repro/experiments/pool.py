@@ -1,19 +1,20 @@
 """Warm persistent worker pools: spin up once, reuse for every sweep.
 
-``BENCH_experiments.json`` exposed the bug this module fixes: the thread
-and process runners *lost* to serial at bench scale because every
-``iter_jobs`` call (and every ``compile_many`` batch) paid executor
-startup — worker spawn, module imports in each child — before the first
-job ran, and tore it all down afterwards.  For sweeps whose serial wall
-clock is a fraction of a second, the fixed cost dwarfed the parallel win.
+``BENCH_experiments.json`` exposed the bug this module fixes: the pool
+runners *lost* to serial at bench scale because every ``iter_jobs`` call
+paid executor startup — worker spawn, module imports in each child —
+before the first job ran, and tore it all down afterwards.  For sweeps
+whose serial wall clock is a fraction of a second, the fixed cost dwarfed
+the parallel win.
 
 The registry here makes pools **process-lifetime resources**: one
 executor per ``(kind, worker count)``, created on first use and reused by
-every runner, every ``compile_many`` batch, and every sweep until
-:func:`shutdown_pools` (installed as an ``atexit`` hook) retires them.
-Process-pool workers pre-import the heavy compile modules at spawn
-(:func:`_warm_worker`), so even a spawn-start-method child answers its
-first job warm.
+every runner and every sweep until :func:`shutdown_pools` (installed as an
+``atexit`` hook) retires them.  The only kind is ``"process"``: compile
+jobs are CPU-bound Python, so a thread pool only adds GIL contention (it
+measured slower than serial on a 2-CPU host).  Process-pool workers
+pre-import the heavy compile modules at spawn (:func:`_warm_worker`), so
+even a spawn-start-method child answers its first job warm.
 
 The companion knob is the **dispatch quantum**: :func:`chunk_size_for`
 sizes job chunks to amortize IPC — about ``jobs / (4 * workers)`` per
@@ -36,7 +37,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Iterator, Sequence, TypeVar
 
 from repro.errors import ReproError
@@ -44,7 +45,7 @@ from repro.errors import ReproError
 T = TypeVar("T")
 
 #: The executor kinds the registry hands out.
-POOL_KINDS = ("thread", "process")
+POOL_KINDS = ("process",)
 
 _pools: dict[tuple[str, int], Executor] = {}
 _lock = threading.Lock()
@@ -89,14 +90,7 @@ def get_pool(kind: str, max_workers: int | None = None) -> Executor:
     with _lock:
         pool = _pools.get(key)
         if pool is None:
-            if kind == "thread":
-                pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-warm"
-                )
-            else:
-                pool = ProcessPoolExecutor(
-                    max_workers=workers, initializer=_warm_worker
-                )
+            pool = ProcessPoolExecutor(max_workers=workers, initializer=_warm_worker)
             _pools[key] = pool
         return pool
 

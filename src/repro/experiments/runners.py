@@ -1,4 +1,4 @@
-"""Pluggable experiment runners: serial, thread-pool, process-pool, sharded.
+"""Pluggable experiment runners: serial, process-pool, sharded.
 
 A runner executes a job list and produces input-ordered
 :class:`~repro.experiments.api.ExperimentRecord` lists.  All backends
@@ -11,17 +11,18 @@ Execution is **streaming end-to-end**: the primitive is
 finishes, with canonical (input) ordering restored by a reorder buffer —
 out-of-order completions wait in the buffer until every earlier record has
 been yielded.  ``run_jobs`` is simply ``list(iter_jobs(...))``, so the
-serial, thread, process, and sharded backends all stream for free.
+serial, process, and sharded backends all stream for free.
 
-Compile jobs are grouped by ``(settings, baseline)`` and dispatched through
-``Pipeline.compile_many`` — the batch API is the single execution path for
-every compilation in the experiments layer.  Pool runners draw their
-executor from the **warm pool registry** (:mod:`repro.experiments.pool`):
-one process/thread pool per worker count, created on first use and reused
-across ``iter_jobs`` calls and whole sweeps, so pool startup is paid once
-per process, not once per run.  Jobs are submitted in **chunks** sized to
-amortize IPC (:func:`~repro.experiments.pool.chunk_size_for`; override
-with ``chunk_size=``/``--chunk-size``): each chunk executes in-worker and
+Compile jobs are grouped by ``(settings, baseline)``; each group shares one
+pipeline, and every job runs through :func:`_execute_job`, the one
+execution core for in-line, pooled, and sharded runs alike.  The process
+runner draws its executor from the **warm pool registry**
+(:mod:`repro.experiments.pool`): one process pool per worker count, created
+on first use and reused across ``iter_jobs`` calls and whole sweeps, so
+pool startup is paid once per process, not once per run.  Jobs are
+submitted in **chunks** sized to amortize IPC
+(:func:`~repro.experiments.pool.chunk_size_for`; override with
+``chunk_size=``/``--chunk-size``): each chunk executes in-worker and
 returns finished *records*, so the heavy compile artifacts (mapping,
 reshape, instruction stream) never travel back through the pool pipe —
 with a :class:`~repro.pipeline.cache.DiskCache` attached they are already
@@ -37,11 +38,11 @@ the same shards could run on remote hosts with the cache directories as
 the wire format; the local subprocess pool is just the first transport.
 
 One caveat follows from "only the wall clock differs": records' ``timings``
-are measured while jobs *contend* for cores (and, on the thread runner, the
-GIL), so the timing columns of the timing experiments (Figs. 14-15) are
-only meaningful from the serial runner — the default everywhere.  Pool
-runners still produce bit-identical deterministic fields; they just cannot
-be used to *measure* single-job wall clock.
+are measured while jobs *contend* for cores, so the timing columns of the
+timing experiments (Figs. 14-15) are only meaningful from the serial
+runner — the default everywhere.  Pool runners still produce
+bit-identical deterministic fields; they just cannot be used to *measure*
+single-job wall clock.
 """
 
 from __future__ import annotations
@@ -115,22 +116,15 @@ def _execute_job(
     """Run one job to a finished record — the one execution core.
 
     Shared verbatim by the serial loop and the chunk worker, so in-line,
-    thread-, process-, and shard-hosted execution cannot drift: compile
-    jobs go through one-element ``compile_many`` batches (keeping the
-    batch API the single compilation path) against their group's shared
-    pipeline, fn jobs call their module-level function, and failures name
-    the job either way.
+    process-, and shard-hosted execution cannot drift: compile jobs run on
+    their group's shared pipeline, fn jobs call their module-level
+    function, and failures name the job either way.
     """
     if isinstance(job, CompileJob):
         pipeline = pipelines[(job.settings, job.baseline)]
         circuit = make_benchmark(job.family, job.num_qubits, seed=job.benchmark_seed)
-        outcome = _named(
-            job,
-            experiment,
-            lambda: pipeline.compile_many(
-                [circuit], seeds=[job.seed], baseline=job.baseline
-            )[0],
-        )
+        compile_one = pipeline.compile_baseline if job.baseline else pipeline.compile
+        outcome = _named(job, experiment, lambda: compile_one(circuit, job.seed))
         return _compile_record(
             job, outcome, experiment=experiment, scale=scale, seed=seed
         )
@@ -143,11 +137,11 @@ class ChunkTask:
     """One pool dispatch quantum: a contiguous slice of a sweep's jobs.
 
     Like :class:`ShardTask`, a chunk carries no live resources — indexed
-    self-seeded jobs, provenance, the cache handle (a thread pool shares
-    it by reference; a process pool pickles it, which for a
-    :class:`~repro.pipeline.cache.DiskCache` means *by path*, so workers
-    read and feed the one shared store), and the telemetry intent flag.
-    One chunk costs one pickle round trip however many jobs it holds.
+    self-seeded jobs, provenance, the cache handle (the process pool
+    pickles it, which for a :class:`~repro.pipeline.cache.DiskCache` means
+    *by path*, so workers read and feed the one shared store), and the
+    telemetry intent flag.  One chunk costs one pickle round trip however
+    many jobs it holds.
     """
 
     experiment: str
@@ -238,9 +232,9 @@ class Runner:
     so one cache serves the whole experiment run regardless of backend.
     Records are byte-identical with the cache off, cold, or warm — hit/miss
     counts land in the records' non-canonical ``metrics``.  (A
-    ``MemoryCache`` shares within the serial/thread runners only; the
-    process and sharded runners need a ``DiskCache`` to share entries
-    across workers.)
+    ``MemoryCache`` shares within the serial runner only; the process and
+    sharded runners need a ``DiskCache`` to share entries across
+    workers.)
     """
 
     name = "serial"
@@ -468,11 +462,6 @@ class SerialRunner(Runner):
     """Alias of the base runner; the canonical reference backend."""
 
 
-class ThreadRunner(Runner):
-    name = "thread"
-    pool_kind = "thread"
-
-
 class ProcessRunner(Runner):
     name = "process"
     pool_kind = "process"
@@ -639,7 +628,7 @@ class ShardedRunner(Runner):
             members.setdefault(shard_for(job.key, self.shards), []).append(
                 (index, job)
             )
-        with shard_scratch(self.cache, prefix="run-") as delta_for:
+        with shard_scratch(self.cache) as delta_for:
             tasks = [
                 ShardTask(
                     shard_index=shard,
@@ -805,7 +794,6 @@ def _fn_record(
 #: Runner name -> class, the CLI's ``--runner`` choices.
 RUNNERS: dict[str, type[Runner]] = {
     "serial": SerialRunner,
-    "thread": ThreadRunner,
     "process": ProcessRunner,
     "sharded": ShardedRunner,
 }

@@ -106,7 +106,7 @@ class Telemetry:
         on their roots; cache hit/miss counts from ``record.metrics`` (the
         provenance channel that already survives every runner boundary)
         feed the ``cache.*`` counters — the **single** source of those
-        counters, so serial, thread, process, and sharded runs all
+        counters, so serial, process, and sharded runs all
         reconcile identically.  ``fold_metrics=False`` is for coordinators
         whose subprocesses already folded (the sharded runner merges the
         child registry snapshot instead — folding here too would double

@@ -75,8 +75,9 @@ class MetricsRegistry:
     """Named counters/gauges/histograms behind one lock.
 
     Lazily creating on first touch keeps call sites declaration-free:
-    ``registry.inc("cache.hits")`` is the whole API.  The lock makes the
-    thread runner's concurrent bumps safe; per-operation cost is one
+    ``registry.inc("cache.hits")`` is the whole API.  The lock makes
+    concurrent bumps from threads (the compile service's producer pool)
+    safe; per-operation cost is one
     uncontended lock acquire — nothing on the disabled path, which never
     reaches a registry at all.
     """

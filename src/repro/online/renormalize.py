@@ -13,10 +13,10 @@ Two mechanics from the paper:
   any path at all?" on the relaxed graph that ignores crossing constraints
   (negative checks are the common case near threshold).  It is
   :func:`strip_spans`, one compiled BFS, with the original scalar
-  union-find kept as the oracle (:func:`strip_spans_dsu`) behind
-  ``renormalize``'s ``precheck`` switch.  The scalar path search asks it
-  first; the vector path search asks it only after its own search failed,
-  since a found path already proves the strip spans.  Both charge the same
+  union-find kept as a reference model (:func:`strip_spans_dsu`) that the
+  tests compare against.  The scalar path search asks it first; the vector
+  path search asks it only after its own search failed, since a found path
+  already proves the strip spans.  Both charge the same
   visited sites, so the order never shows in results;
 * **tangling prevention** — distinct same-orientation paths must stay
   disjoint, and a path may touch a perpendicular path only by crossing it
@@ -47,10 +47,6 @@ from repro.utils.gridgeom import Coord2D
 
 #: Marker values for the orientation ownership grid.
 _FREE, _VERTICAL, _HORIZONTAL, _DEAD = 0, 1, 2, 3
-
-#: Pre-check implementations accepted by :func:`renormalize` (the vectorized
-#: label propagation is the hot path; the scalar union-find is the oracle).
-PRECHECKS = ("vector", "dsu")
 
 #: Path-search implementations accepted by :func:`renormalize` (the numpy
 #: wavefront search is the hot path; the scalar deque BFS is the oracle).
@@ -99,10 +95,12 @@ def strip_spans(
 def strip_spans_dsu(
     lattice: PercolatedLattice, vertical: bool, low: int, high: int
 ) -> bool:
-    """Scalar oracle for :func:`strip_spans`: the original flat union-find.
+    """Scalar reference model for :func:`strip_spans`: the original flat
+    union-find.
 
-    Kept bit-for-bit equivalent in answer (the property suite cross-checks
-    the two over randomized lattices) and as the baseline the micro-bench
+    Not called by the compiler.  Kept bit-for-bit equivalent in answer (the
+    property suite cross-checks the two over randomized lattices and patches
+    it into full renormalizations) and as the baseline the micro-bench
     measures the vectorized path against.
     """
     n = lattice.size
@@ -155,10 +153,6 @@ def strip_spans_dsu(
     )
 
 
-#: Name -> implementation, for the ``precheck`` switch.
-_PRECHECK_FNS = {"vector": strip_spans, "dsu": strip_spans_dsu}
-
-
 @dataclass
 class RenormalizationResult:
     """Outcome of one 2D renormalization attempt."""
@@ -192,13 +186,8 @@ class _Carver:
     def __init__(
         self,
         lattice: PercolatedLattice,
-        precheck: str = "vector",
         pathfind: str = "vector",
     ) -> None:
-        if precheck not in _PRECHECK_FNS:
-            raise RenormalizationError(
-                f"unknown precheck {precheck!r}; use one of: {', '.join(PRECHECKS)}"
-            )
         if pathfind not in PATHFINDS:
             raise RenormalizationError(
                 f"unknown pathfind {pathfind!r}; use one of: {', '.join(PATHFINDS)}"
@@ -218,7 +207,6 @@ class _Carver:
         self._bonds_right = np.zeros(self._owner_padded.shape, dtype=np.uint8)
         self._bonds_right[_PAD : _PAD + n, _PAD : _PAD + n - 1][lattice.horizontal] = 0xFF
         self.visited_sites = 0
-        self._precheck = _PRECHECK_FNS[precheck]
         self._pathfind_name = pathfind
 
     # -- generic helpers --------------------------------------------------
@@ -240,16 +228,14 @@ class _Carver:
     def _strip_connected(self, vertical: bool, low: int, high: int) -> bool:
         """Connectivity pre-check: do the strip's two far edges touch at all?
 
-        Dispatches to the configured implementation (:func:`strip_spans` by
-        default, :func:`strip_spans_dsu` as the oracle); both answer the
-        same relaxed-graph question, so a negative answer is definitive
-        while a positive one still needs BFS.  The visited-site cost proxy
-        charges the full strip area either way — Fig. 14's accounting
-        models the work the check *represents*, not the constant factors
-        of whichever implementation ran it.
+        Answers the relaxed-graph question with :func:`strip_spans`, so a
+        negative answer is definitive while a positive one still needs BFS.
+        The visited-site cost proxy charges the full strip area — Fig. 14's
+        accounting models the work the check *represents*, not the constant
+        factors of the implementation that ran it.
         """
         self.visited_sites += self.size * (high - low)
-        return self._precheck(self.lattice, vertical, low, high)
+        return strip_spans(self.lattice, vertical, low, high)
 
     # -- BFS path search ----------------------------------------------------
 
@@ -548,7 +534,6 @@ def renormalize(
     lattice: PercolatedLattice,
     target_size: int,
     work_budget: int | None = None,
-    precheck: str = "vector",
     pathfind: str = "vector",
 ) -> RenormalizationResult:
     """Reshape ``lattice`` into a ``target_size x target_size`` coarse lattice.
@@ -563,15 +548,14 @@ def renormalize(
     non-modular baseline): when exceeded, the partial result so far is
     returned as a failure.
 
-    ``precheck`` selects the per-strip connectivity implementation:
-    ``"vector"`` (the compiled BFS, the default) or ``"dsu"`` (the scalar
-    union-find oracle).  ``pathfind`` likewise selects the path search:
-    ``"vector"`` (one compiled wavefront over a fixed-shape CSR template
-    per strip, the default) or ``"scalar"`` (the original deque BFS
-    oracle).  Every combination agrees on every lattice — the property
-    suite asserts full-result identity across the ``pathfind x precheck``
-    sweep — and the visited-site accounting is implementation-independent,
-    so swapping them never perturbs results or the Fig. 14 cost proxy.
+    ``pathfind`` selects the path search: ``"vector"`` (one compiled
+    wavefront over a fixed-shape CSR template per strip, the default) or
+    ``"scalar"`` (the original deque BFS oracle).  Both agree on every
+    lattice — the property suite asserts full-result identity, with and
+    without the :func:`strip_spans_dsu` reference model patched in for the
+    pre-check — and the visited-site accounting is
+    implementation-independent, so swapping them never perturbs results or
+    the Fig. 14 cost proxy.
     """
     if target_size < 1:
         raise RenormalizationError(f"target size must be >= 1, got {target_size}")
@@ -579,7 +563,7 @@ def renormalize(
         raise RenormalizationError(
             f"target {target_size} exceeds lattice size {lattice.size}"
         )
-    carver = _Carver(lattice, precheck=precheck, pathfind=pathfind)
+    carver = _Carver(lattice, pathfind=pathfind)
     vertical_paths: list[list[Coord2D]] = []
     horizontal_paths: list[list[Coord2D]] = []
 

@@ -2,8 +2,8 @@
 
 The Fig. 2 flow — circuit -> MBQC pattern -> offline FlexLattice mapping ->
 online reshaping — expressed as first-class passes over a shared
-:class:`PassContext`, chained by a :class:`Pipeline` that also provides the
-batch entry point (``compile_many``) every sweep driver uses.
+:class:`PassContext`, chained by a :class:`Pipeline`.  A pipeline compiles
+one circuit per call; sweeps go through :mod:`repro.experiments.runners`.
 """
 
 from repro.pipeline.cache import (

@@ -20,9 +20,9 @@ the *seed axis* (same circuits, different online randomness) reuse the
 translate/offline-map prefix across every rollout.
 
 Two backends exist behind one interface: :class:`MemoryCache` (per-process
-dict; serves the serial and thread runners) and :class:`DiskCache` (a
-directory of pickle files with atomic writes; shareable across process
-pools and across runs).  Both store *pickled bytes* and deserialize on
+dict; serves the serial runner and the compile service) and
+:class:`DiskCache` (a directory of pickle files with atomic writes;
+shareable across process pools and across runs).  Both store *pickled bytes* and deserialize on
 every hit, so a cached artifact is never aliased between compilations —
 bit-identical results cannot be perturbed by downstream mutation.
 
@@ -170,10 +170,10 @@ class ArtifactCache:
 class MemoryCache(ArtifactCache):
     """In-process backend: a dict of pickled payloads.
 
-    Shared by reference within one process (serial and thread runners); a
-    process pool pickles it *by value*, so workers see a snapshot and new
-    entries do not flow back — use :class:`DiskCache` to share across
-    processes.
+    Shared by reference within one process (serial runner, compile
+    service); a process pool pickles it *by value*, so workers see a
+    snapshot and new entries do not flow back — use :class:`DiskCache` to
+    share across processes.
     """
 
     name = "memory"
@@ -534,7 +534,7 @@ def _sweep_stale_scratch(root: Path) -> None:
 
 
 @contextmanager
-def shard_scratch(base: DiskCache | None, prefix: str):
+def shard_scratch(base: DiskCache | None):
     """Per-run scratch root for shard delta directories, cleaned on exit.
 
     The one definition of where shard deltas live: inside ``base``'s store
@@ -551,7 +551,7 @@ def shard_scratch(base: DiskCache | None, prefix: str):
     root = base.directory / ".shards"
     root.mkdir(parents=True, exist_ok=True)
     _sweep_stale_scratch(root)
-    scratch = Path(tempfile.mkdtemp(prefix=prefix, dir=root))
+    scratch = Path(tempfile.mkdtemp(prefix="run-", dir=root))
     try:
         yield lambda shard: scratch / f"shard-{shard}"
     finally:

@@ -1,7 +1,7 @@
 """Unit tests for the content-addressed artifact cache (tiny parameters).
 
-The bench-scale golden matrix (cache off / cold / warm x serial / thread /
-process) lives in benchmarks/test_cache_determinism.py; these tests pin the
+The bench-scale golden matrix (cache off / cold / warm x serial / process)
+lives in benchmarks/test_cache_determinism.py; these tests pin the
 cache's own contract: key derivation, backend behavior, hit replay fidelity,
 pipeline wiring, and the process-pool pickling rules.
 """
@@ -207,71 +207,6 @@ class TestCachedCompilation:
         unbound = cached.with_cache(None)
         assert _metrics(unbound.compile(CIRCUIT, seed=0)) == _metrics(result)
         assert first.lookups == 0  # truly uncached, not silently reading first
-
-    def test_compile_many_cache_kwarg(self):
-        cache = MemoryCache()
-        pipeline = Pipeline(SETTINGS)
-        circuits = [CIRCUIT, CIRCUIT, CIRCUIT]
-        batch = pipeline.compile_many(circuits, seeds=[0, 1, 2], cache=cache)
-        assert [_metrics(r) for r in batch] == [
-            _metrics(pipeline.compile(CIRCUIT, seed=s)) for s in (0, 1, 2)
-        ]
-        assert cache.hits > 0  # the seed axis shared the prefix
-
-    def test_compile_many_conflicting_caches_rejected(self):
-        pipeline = Pipeline(SETTINGS, cache=MemoryCache())
-        with pytest.raises(CompilationError, match="conflicts"):
-            pipeline.compile_many([CIRCUIT], cache=MemoryCache())
-
-    def test_disk_cache_through_process_backend(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        pipeline = Pipeline(SETTINGS, cache=cache)
-        circuits = [CIRCUIT, CIRCUIT]
-        cold = pipeline.compile_many(circuits, seeds=[0, 1], backend="process", max_workers=2)
-        warm = pipeline.compile_many(circuits, seeds=[0, 1], backend="process", max_workers=2)
-        serial = Pipeline(SETTINGS).compile_many(circuits, seeds=[0, 1])
-        assert [_metrics(r) for r in serial] == [_metrics(r) for r in cold]
-        assert [_metrics(r) for r in serial] == [_metrics(r) for r in warm]
-        # Workers wrote through to the shared directory, so the warm pass
-        # hit every stage of every job.
-        assert all(r.metrics.get("cache_hits", 0) == 4 for r in warm)
-
-    def test_sharded_backend_matches_serial_and_warms(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        pipeline = Pipeline(SETTINGS, cache=cache)
-        circuits = [make_benchmark("qaoa", 4, seed=s) for s in range(4)]
-        seeds = [0, 1, 2, 3]
-        serial = Pipeline(SETTINGS).compile_many(circuits, seeds=seeds)
-        for shards in (1, 2, 3):
-            batch = pipeline.compile_many(
-                circuits, seeds=seeds, backend="sharded", shards=shards
-            )
-            assert [_metrics(r) for r in batch] == [_metrics(r) for r in serial]
-        # Shard deltas merged back after the cold run, so later sharded runs
-        # (any shard count) hit every stage of every job.
-        warm = pipeline.compile_many(circuits, seeds=seeds, backend="sharded", shards=2)
-        assert all(r.metrics.get("cache_hits", 0) == 4 for r in warm)
-        # Scratch directories are cleaned up; only real entries remain.
-        assert not list((tmp_path / ".shards").glob("*"))
-
-    def test_shards_param_requires_sharded_backend(self):
-        with pytest.raises(CompilationError, match="sharded"):
-            Pipeline(SETTINGS).compile_many([CIRCUIT], backend="serial", shards=2)
-
-    def test_sharded_backend_rejects_memory_cache(self):
-        pipeline = Pipeline(SETTINGS, cache=MemoryCache())
-        with pytest.raises(CompilationError, match="DiskCache"):
-            pipeline.compile_many([CIRCUIT], backend="sharded", shards=2)
-
-    def test_invalid_shard_counts_and_executor_conflict(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with pytest.raises(CompilationError, match=">= 1"):
-            Pipeline(SETTINGS).compile_many([CIRCUIT], backend="sharded", shards=0)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            # An explicit shard request must never be silently ignored.
-            with pytest.raises(CompilationError, match="executor conflicts"):
-                Pipeline(SETTINGS).compile_many([CIRCUIT], executor=pool, shards=2)
 
 
 class TestEviction:

@@ -43,13 +43,13 @@ class TestRegistrySurface:
 class TestStructuredOutputs:
     def test_json_records(self, capsys):
         code = main(
-            ["experiment", "--name", "fig15", "--json", "--runner", "thread",
+            ["experiment", "--name", "fig15", "--json", "--runner", "process",
              "--workers", "2"]
         )
         record = json.loads(capsys.readouterr().out)
         assert code == 0
         assert record["experiment"] == "fig15"
-        assert record["runner"] == "thread"
+        assert record["runner"] == "process"
         assert record["records"][0]["fields"]["logical_layers"] > 0
         assert record["cache"] == {"hits": 0, "misses": 0, "hit_rate": 0.0}
 
@@ -257,7 +257,7 @@ class TestShardedFlags:
         serial = json.loads(capsys.readouterr().out)
         assert code == 0
         code = main(
-            ["experiment", "--name", "fig14", "--json", "--runner", "thread",
+            ["experiment", "--name", "fig14", "--json", "--runner", "process",
              "--workers", "2", "--chunk-size", "2"]
         )
         chunked = json.loads(capsys.readouterr().out)
@@ -269,13 +269,21 @@ class TestShardedFlags:
     def test_chunk_size_with_serial_runner_is_usage_error(self, capsys):
         code = main(["experiment", "--name", "fig15", "--chunk-size", "2"])
         assert code == 2
-        assert "thread, process" in capsys.readouterr().err
+        assert "pool runners (process)" in capsys.readouterr().err
+
+    def test_thread_runner_is_rejected_with_the_runner_list(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "--name", "fig15", "--runner", "thread"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        assert "'serial', 'process', 'sharded'" in err
 
     def test_nonpositive_counts_are_usage_errors(self, capsys):
         for flags in (
             ["--runner", "process", "--workers", "0"],
             ["--runner", "sharded", "--shards", "0"],
-            ["--runner", "thread", "--chunk-size", "0"],
+            ["--runner", "process", "--chunk-size", "0"],
         ):
             code = main(["experiment", "--name", "fig15", *flags])
             assert code == 2

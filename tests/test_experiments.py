@@ -19,7 +19,6 @@ from repro.experiments import (
     FnJob,
     ProcessRunner,
     SerialRunner,
-    ThreadRunner,
     UnknownExperimentError,
     canonical_json,
     experiment_names,
@@ -152,11 +151,7 @@ class TestRunners:
     def test_all_backends_and_worker_counts_agree(self):
         experiment = ToyExperiment()
         reference = experiment.run("bench", seed=3, runner=SerialRunner())
-        for runner in (
-            ThreadRunner(max_workers=2),
-            ThreadRunner(max_workers=4),
-            ProcessRunner(max_workers=2),
-        ):
+        for runner in (ProcessRunner(max_workers=1), ProcessRunner(max_workers=2)):
             result = experiment.run("bench", seed=3, runner=runner)
             assert canonical_json(result.records) == canonical_json(reference.records)
             assert result.runner == runner.name
@@ -189,7 +184,7 @@ class TestRunners:
         for fn_record in result.records[:-1]:
             assert fn_record.metrics == {}
 
-    @pytest.mark.parametrize("runner_name", ["serial", "thread"])
+    @pytest.mark.parametrize("runner_name", ["serial"])
     def test_cached_runner_matches_uncached_and_counts(self, runner_name):
         from repro.pipeline import MemoryCache
 
@@ -226,8 +221,8 @@ class TestRunners:
         assert warm.cache_stats()["hit_rate"] == 1.0
 
     def test_runner_by_name_and_unknown(self):
-        assert make_runner("thread", 2).max_workers == 2
-        with pytest.raises(ReproError, match="serial, thread, process"):
+        assert make_runner("process", 2).max_workers == 2
+        with pytest.raises(ReproError, match="serial, process, sharded"):
             make_runner("gpu")
 
     def test_result_exports(self):
@@ -251,11 +246,22 @@ class TestRunners:
         with pytest.raises(ReproError, match="supports scales"):
             experiment.run("paper")
 
-    @pytest.mark.parametrize("runner", [SerialRunner(), ThreadRunner(max_workers=2)])
+    @pytest.mark.parametrize("runner", [SerialRunner(), ProcessRunner(max_workers=2)])
     def test_failures_name_the_job(self, runner):
-        jobs = [FnJob(key="boom/1", fn=_exploding_point, kwargs={})]
-        with pytest.raises(ReproError, match="boom/1"):
-            runner.run_jobs(jobs, experiment="toy", scale="bench", seed=0)
+        # max_rsl=1 cannot satisfy any demand, so the compile job always
+        # fails; either way the error must say which job of the sweep died.
+        doomed = [
+            FnJob(key="boom/1", fn=_exploding_point, kwargs={}),
+            CompileJob(
+                key="boom/qaoa4",
+                family="qaoa",
+                num_qubits=4,
+                settings=PipelineSettings(max_rsl=1),
+            ),
+        ]
+        for job in doomed:
+            with pytest.raises(ReproError, match=job.key):
+                runner.run_jobs([job], experiment="toy", scale="bench", seed=0)
 
 
 class TestJobBuilders:
@@ -274,7 +280,7 @@ class TestJobBuilders:
         jobs = get_experiment("table2").build_jobs("bench", seed=0)
         distinct = {(job.settings, job.baseline) for job in jobs}
         # One settings object per (rate, cap, node side) group, times the
-        # baseline flag — that is what compile_many batches on.
+        # baseline flag — the runner builds one pipeline per group.
         assert len(distinct) == 2 * len(table2.SCALE_SETTINGS["bench"])
 
     def test_fig13_mixes_job_kinds(self):

@@ -9,7 +9,7 @@ Pins the tentpole guarantees:
 * the pipeline's pass spans carry the *same* clock reads as
   ``PassContext.timings``, so traces reconcile with timings exactly;
 * telemetry provenance survives every runner boundary: session counters
-  equal the record-derived sums for serial, thread, process, and sharded
+  equal the record-derived sums for serial, process, and sharded
   backends alike, and each compile record brings its spans home;
 * **determinism**: canonical records are byte-identical with a telemetry
   session active or not, on the serial and the sharded runner both.
@@ -375,7 +375,7 @@ def _runner_for(name, tmp_path):
 
 
 class TestRunnerProvenance:
-    @pytest.mark.parametrize("name", ["serial", "thread", "process", "sharded"])
+    @pytest.mark.parametrize("name", ["serial", "process", "sharded"])
     def test_counters_reconcile_and_spans_arrive(self, name, tmp_path):
         with obs.session() as tele:
             result = TeleToy().run("bench", seed=3, runner=_runner_for(name, tmp_path))

@@ -10,8 +10,8 @@ Pins the PR's tentpole guarantees at toy scale:
 * a poisoned job fails fast — queued chunks are cancelled, the pool is
   retired from the registry — while an abandoned consumer
   (``GeneratorExit``) leaves the shared pool warm;
-* ``make_runner``/``compile_many`` validate worker, shard, and chunk
-  counts up front instead of silently reinterpreting them.
+* ``make_runner`` validates worker, shard, and chunk counts up front
+  instead of silently reinterpreting them.
 """
 
 import time
@@ -36,7 +36,7 @@ from repro.experiments.pool import (
     get_pool,
     resolve_workers,
 )
-from repro.pipeline import Pipeline, PipelineSettings
+from repro.pipeline import PipelineSettings
 
 
 def _point(x: int, seed: int) -> dict:
@@ -90,29 +90,27 @@ REFERENCE = PoolToy().run("bench", seed=5, runner=SerialRunner())
 
 class TestRegistry:
     def test_same_key_same_pool(self):
-        assert get_pool("thread", 2) is get_pool("thread", 2)
         assert get_pool("process", 2) is get_pool("process", 2)
 
     def test_distinct_keys_distinct_pools(self):
-        assert get_pool("thread", 2) is not get_pool("thread", 3)
-        assert get_pool("thread", 2) is not get_pool("process", 2)
+        assert get_pool("process", 2) is not get_pool("process", 3)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ReproError, match="thread, process"):
-            get_pool("fiber", 2)
+        # Threads only add GIL contention to CPU-bound compile jobs.
+        with pytest.raises(ReproError, match="'thread'; use one of: process"):
+            get_pool("thread", 2)
 
     def test_shutdown_is_idempotent_and_registry_rewarms(self):
-        get_pool("thread", 2)
         get_pool("process", 2)
-        assert shutdown_pools() >= 2
+        assert shutdown_pools() >= 1
         assert shutdown_pools() == 0  # nothing left: a clean no-op
-        fresh = get_pool("thread", 2)  # the registry simply re-warms
+        fresh = get_pool("process", 2)  # the registry simply re-warms
         assert fresh.submit(int, "7").result() == 7
 
     def test_discard_pool_retires_and_tolerates_repeats(self):
-        pool = get_pool("thread", 2)
+        pool = get_pool("process", 2)
         discard_pool(pool)
-        assert get_pool("thread", 2) is not pool
+        assert get_pool("process", 2) is not pool
         discard_pool(pool)  # already gone from the registry: still safe
 
     def test_resolve_workers(self):
@@ -142,7 +140,7 @@ class TestWarmPoolDeterminism:
     @pytest.mark.parametrize(
         "runner_name,kwargs",
         [
-            ("thread", {"max_workers": 2}),
+            ("process", {"max_workers": 1}),
             ("process", {"max_workers": 2}),
             ("sharded", {"shards": 2}),
         ],
@@ -162,7 +160,7 @@ class TestWarmPoolDeterminism:
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 5, None])
     def test_records_identical_for_any_chunk_size(self, chunk_size):
-        runner = make_runner("thread", max_workers=2, chunk_size=chunk_size)
+        runner = make_runner("process", max_workers=2, chunk_size=chunk_size)
         result = PoolToy().run("bench", seed=5, runner=runner)
         assert canonical_json(result.records) == canonical_json(REFERENCE.records)
 
@@ -178,8 +176,8 @@ class TestFailFast:
             )
             for x in range(1, 12)
         ]
-        runner = make_runner("thread", max_workers=1, chunk_size=1)
-        healthy = get_pool("thread", 1)
+        runner = make_runner("process", max_workers=1, chunk_size=1)
+        healthy = get_pool("process", 1)
         with pytest.raises(ReproError, match="boom/0"):
             list(
                 runner.iter_jobs(jobs, experiment="pool-toy", scale="bench", seed=0)
@@ -191,7 +189,7 @@ class TestFailFast:
         assert ran < len(jobs) - 1
         # ...and the poisoned pool left the registry; the next run warms a
         # fresh one.
-        assert get_pool("thread", 1) is not healthy
+        assert get_pool("process", 1) is not healthy
 
     def test_poisoned_shard_retires_the_process_pool(self):
         jobs = [FnJob(key="boom/1", fn=_boom, kwargs={})]
@@ -205,12 +203,12 @@ class TestFailFast:
         # Closing the generator mid-stream is not an error: in-flight work
         # is cancelled but the shared pool stays registered and healthy.
         jobs = PoolToy().build_jobs("bench", 5)
-        runner = make_runner("thread", max_workers=2)
-        pool = get_pool("thread", 2)
+        runner = make_runner("process", max_workers=2)
+        pool = get_pool("process", 2)
         stream = runner.iter_jobs(jobs, experiment="pool-toy", scale="bench", seed=5)
         next(stream)
         stream.close()
-        assert get_pool("thread", 2) is pool
+        assert get_pool("process", 2) is pool
         assert pool.submit(int, "7").result() == 7
 
 
@@ -223,60 +221,10 @@ class TestValidation:
         with pytest.raises(ReproError, match=">= 1"):
             make_runner("sharded", shards=0)
         with pytest.raises(ReproError, match=">= 1"):
-            make_runner("thread", chunk_size=0)
+            make_runner("process", chunk_size=0)
 
     def test_chunk_size_only_for_pool_runners(self):
-        assert make_runner("thread", chunk_size=3).chunk_size == 3
         assert make_runner("process", chunk_size=3).chunk_size == 3
         for name in ("serial", "sharded"):
-            with pytest.raises(ReproError, match="thread, process"):
+            with pytest.raises(ReproError, match=r"pool runners \(process\)"):
                 make_runner(name, chunk_size=3)
-
-
-SETTINGS = PipelineSettings(
-    fusion_success_rate=0.9, rsl_size=24, virtual_size=2, max_rsl=10**5
-)
-
-
-class TestCompileManyChunks:
-    def _circuits(self):
-        from repro.circuits.benchmarks import make_benchmark
-
-        return [make_benchmark("qaoa", 4, seed=s) for s in range(3)]
-
-    def test_pool_backends_match_serial_for_any_chunk_size(self):
-        pipeline = Pipeline(SETTINGS)
-        circuits = self._circuits()
-        reference = pipeline.compile_many(circuits, seeds=0)
-        for backend in ("thread", "process"):
-            for chunk_size in (1, 2, None):
-                batch = pipeline.compile_many(
-                    circuits,
-                    seeds=0,
-                    backend=backend,
-                    max_workers=2,
-                    chunk_size=chunk_size,
-                )
-                assert [r.rsl_count for r in batch] == [
-                    r.rsl_count for r in reference
-                ]
-                assert [r.fusion_count for r in batch] == [
-                    r.fusion_count for r in reference
-                ]
-
-    def test_chunk_size_usage_errors(self):
-        from repro.errors import CompilationError
-
-        pipeline = Pipeline(SETTINGS)
-        circuits = self._circuits()
-        with pytest.raises(CompilationError, match=">= 1"):
-            pipeline.compile_many(circuits, backend="thread", chunk_size=0)
-        with pytest.raises(CompilationError, match="pool backends"):
-            pipeline.compile_many(circuits, backend="serial", chunk_size=2)
-        with pytest.raises(CompilationError, match="pool backends"):
-            pipeline.compile_many(
-                circuits, backend="sharded", shards=2, chunk_size=2
-            )
-        pool = get_pool("thread", 2)
-        with pytest.raises(CompilationError, match="executor conflicts"):
-            pipeline.compile_many(circuits, executor=pool, chunk_size=2)

@@ -2,13 +2,14 @@
 strip pre-check against its scalar DSU oracle, and the vectorized wavefront
 path search against the scalar deque-BFS oracle."""
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.online import percolation, renormalize, sample_lattice
 from repro.online.renormalize import (
     PATHFINDS,
-    PRECHECKS,
     _intersections,
     strip_spans,
     strip_spans_dsu,
@@ -145,12 +146,14 @@ def test_precheck_degenerate_strips():
 @given(carving_cases())
 @settings(max_examples=25, deadline=None)
 def test_full_renormalize_identical_for_either_precheck(case):
-    """Swapping pre-check implementations must not perturb *anything*:
-    success, paths, node grid, and the Fig. 14 visited-sites cost proxy."""
+    """Patching the DSU reference model in for the pre-check must not perturb
+    *anything*: success, paths, node grid, and the Fig. 14 visited-sites
+    cost proxy."""
     size, target, probability, seed = case
     lattice = sample_lattice(size, probability, rng=np.random.default_rng(seed))
-    fast = renormalize(lattice.copy(), target, precheck="vector")
-    slow = renormalize(lattice.copy(), target, precheck="dsu")
+    fast = renormalize(lattice.copy(), target)
+    with patch("repro.online.renormalize.strip_spans", strip_spans_dsu):
+        slow = renormalize(lattice.copy(), target)
     assert fast.success == slow.success
     assert fast.lattice_size == slow.lattice_size
     assert fast.visited_sites == slow.visited_sites
@@ -197,25 +200,29 @@ def pathfind_cases(draw):
 @given(pathfind_cases())
 @settings(max_examples=100, deadline=None)
 def test_pathfind_precheck_sweep_full_result_identity(case):
-    """Every pathfind x precheck combination must agree on *everything*:
+    """Every pathfind x pre-check combination must agree on *everything*:
     success, paths, node grid, visited-site count, and where a work budget
-    truncates the carve."""
+    truncates the carve.  The pre-check varies by patching the DSU
+    reference model in for :func:`strip_spans`."""
     size, target, bond_probability, loss, budget, seed = case
     lattice = _lattice_with_loss(size, bond_probability, loss, seed)
     reference = None
     for pathfind in PATHFINDS:
-        for precheck in PRECHECKS:
-            result = renormalize(
-                lattice.copy(),
-                target,
-                work_budget=budget,
-                precheck=precheck,
-                pathfind=pathfind,
-            )
+        for precheck in (strip_spans, strip_spans_dsu):
+            with patch("repro.online.renormalize.strip_spans", precheck):
+                result = renormalize(
+                    lattice.copy(),
+                    target,
+                    work_budget=budget,
+                    pathfind=pathfind,
+                )
             if reference is None:
                 reference = _result_tuple(result)
             else:
-                assert _result_tuple(result) == reference, (pathfind, precheck)
+                assert _result_tuple(result) == reference, (
+                    pathfind,
+                    precheck.__name__,
+                )
 
 
 def test_far_edge_crossing_ends_on_perpendicular_path():

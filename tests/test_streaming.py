@@ -98,8 +98,8 @@ class TestIterJobs:
         "runner_name,kwargs",
         [
             ("serial", {}),
-            ("thread", {"max_workers": 2}),
-            ("thread", {"max_workers": 4}),
+            ("process", {"max_workers": 1}),
+            ("process", {"max_workers": 3}),
             ("process", {"max_workers": 2}),
             ("sharded", {"shards": 1}),
             ("sharded", {"shards": 2}),
@@ -130,10 +130,10 @@ class TestIterJobs:
         assert len(EXECUTED) == 6  # every fn job ran exactly once
 
     def test_pool_stream_restores_canonical_order(self):
-        # Thread workers finish out of order; the reorder buffer must hide
+        # Pool workers finish out of order; the reorder buffer must hide
         # that entirely.
         jobs = StreamToy().build_jobs("bench", 5)
-        runner = make_runner("thread", max_workers=4)
+        runner = make_runner("process", max_workers=3)
         keys = [
             record.job
             for record in runner.iter_jobs(
@@ -205,7 +205,7 @@ class TestShardedRunner:
 
     def test_shards_flag_rejected_elsewhere(self):
         with pytest.raises(ReproError, match="sharded"):
-            make_runner("thread", shards=2)
+            make_runner("process", shards=2)
         with pytest.raises(ReproError, match=">= 1"):
             ShardedRunner(shards=0)
 
