@@ -1,5 +1,8 @@
 """Tests for the offline mapper, routing and refresh/memory accounting."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.circuits import Circuit, make_benchmark, qaoa, qft, vqe
@@ -7,6 +10,7 @@ from repro.errors import MappingError, MemoryBudgetExceeded
 from repro.ir import InstructionInterpreter, lower_ir
 from repro.mbqc import translate_circuit
 from repro.offline import LayerGrid, OfflineMapper, route
+from repro.pipeline.settings import virtual_size_for
 
 
 class TestLayerGrid:
@@ -193,3 +197,95 @@ class TestOfflineMapper:
         result = OfflineMapper(width=2).map_pattern(pattern)
         expected = {frozenset((u, v)) for u, v in pattern.graph.edges()}
         assert result.ir.connected_graph_pairs() == expected
+
+
+# ---------------------------------------------------------------------------
+# Pinned output: sha256 digests of the mapper's full canonical output.
+# ---------------------------------------------------------------------------
+
+
+def _canonical_mapping(pattern, **kwargs) -> dict:
+    """Everything the mapper produces, in a JSON-stable form: IR nodes in
+    insertion order (role, program node, temporal links), sorted spatial
+    edges, per-layer demands and every counter — or the raised error."""
+    try:
+        result = OfflineMapper(**kwargs).map_pattern(pattern)
+    except MappingError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    link = lambda coord: None if coord is None else list(coord)  # noqa: E731
+    return {
+        "nodes": [
+            [list(coord), node.role, node.g_node, link(node.temporal_prev), link(node.temporal_next)]
+            for coord, node in result.ir.nodes.items()
+        ],
+        "spatial": sorted(sorted(list(end) for end in edge) for edge in result.ir.spatial_edges),
+        "demands": [
+            [d.adjacent_connections, d.cross_connections, list(d.cross_gaps)]
+            for d in result.demands
+        ],
+        "counters": [
+            result.layer_count,
+            result.refresh_layer_count,
+            result.peak_memory_bytes,
+            result.retrievals,
+            result.deferred_edge_realizations,
+            result.ancilla_cells,
+        ],
+    }
+
+
+def _pinned_configs() -> dict[str, tuple[str, int, dict]]:
+    configs = {}
+    for family in ("qaoa", "qft", "rca", "vqe"):
+        for qubits in (9, 16, 25):
+            width = virtual_size_for(qubits)
+            for refresh in (None, 10):
+                configs[f"{family}{qubits}-refresh{refresh}"] = (
+                    family, qubits, {"width": width, "refresh_every": refresh}
+                )
+    # Trips mid-run: qft-16 peaks at ~3 GiB unrefreshed.
+    configs["qft16-budget"] = ("qft", 16, {"width": 4, "memory_budget_bytes": 2 * 2**30})
+    configs["qaoa16-static"] = ("qaoa", 16, {"width": 4, "dynamic_scheduling": False})
+    configs["vqe16-narrow"] = ("vqe", 16, {"width": 3, "occupancy_limit": 0.5})
+    return configs
+
+
+MAPPING_DIGESTS = {
+    "qaoa16-refresh10": "5c20351a51a4f92f2ebd1e035458d0d4e21e7502852603dfe7c7b7c8de334309",
+    "qaoa16-refreshNone": "a1672904967143e97c666e8b9bbe4f306f14cd379380db455a23e31fee771692",
+    "qaoa16-static": "a4156e4f096d3d04cf59fcab00eddfa718fc339901fa9481c31d2e2064389fd2",
+    "qaoa25-refresh10": "93f4591ba4e27272bcffb2e8aa6a0aa7da21e43a9d41a657c714bf304634e307",
+    "qaoa25-refreshNone": "8aef598bef2caaa25483e07db07444191bb00a9c628f702f2a825b4779daf3e8",
+    "qaoa9-refresh10": "fb291cd5822ee7909692f0519f933850dfa9ad9ddfafe4fd7c56f5d48ab35d26",
+    "qaoa9-refreshNone": "9d751563ffad7a5217c51a0bff519c1fcfc74bd6218407988eff6ecba2975a66",
+    "qft16-budget": "24782165e6a905b44178b8ea2ab5cfd9e4aaccaf40f4a7e308eddc3b0900d8c9",
+    "qft16-refresh10": "87533940bc527ae2a6ab0343db9e7899acc5f11c9badd892e9fdbff8de4f91e8",
+    "qft16-refreshNone": "b1c9d6c4e34627bf29d86ccf4c5c44542fa84aa2647fddba415f0bfd4baacdf0",
+    "qft25-refresh10": "c4e09791095318919e557ed3af74f19c3001a49bd48f2e05e5d94a08d8ea6789",
+    "qft25-refreshNone": "22482569d74470c69e4729081c6abd819c2fddede9d9ad781be6a73c4f14fee0",
+    "qft9-refresh10": "654fc7996a5449f98e14b3213ff7ce9fbd2d407fce469d169ac5eff62d96a577",
+    "qft9-refreshNone": "285a23bfa454cd999eb8359a9ea50712b4f5f8c8f3a97fc697d31032fcd816f7",
+    "rca16-refresh10": "25a9b1c57d89b903b17b69a21cf915f3e430e118b8160680f289fb67cf5c6705",
+    "rca16-refreshNone": "29e60e45fbbd1d01cf0834c94ed7440c1ba44ea9103c654272a8d1599f5959c5",
+    "rca25-refresh10": "1e840ece19b6f9db7406e4f0381e83ccfa5347b1c0ad2e91cc500ee11e914176",
+    "rca25-refreshNone": "a9b8afec7864fba6e1863d6ab1213426a48acdfcda9094c7e068aad6510b7d17",
+    "rca9-refresh10": "15d6488f5b2753ac50a460b2d1e648e7f2626dbdde28207f2ce56f30c078ca9e",
+    "rca9-refreshNone": "d7d6e22c83c7518eb8e64b281fc5bab6ccfdceb1436f2ea64f593ef01d2dc9c3",
+    "vqe16-narrow": "24db5c9d10f671893b871edbc46fdde57259e4056a8da4e364b4e1a673401250",
+    "vqe16-refresh10": "6f5d3e1c45fa873e6300c928687ede01faa4cf06a0f06a384ec768333337e6d1",
+    "vqe16-refreshNone": "01b0cba68aac50d51ef318a1dd308d4b9b41bbd2131d6c4aae7af895d79b94f5",
+    "vqe25-refresh10": "5c7371cd5eeb661fd63d1bcd4047dc1b2fe5eaba72b2b54d56d85be2c0adb321",
+    "vqe25-refreshNone": "8ad2894eb42c1db494b91713da5d3b68a786a1dcb422ff7e1e944282bc07ce03",
+    "vqe9-refresh10": "374df044212fd6e0f9187c6923b53edea0de5fe16622e4fcfee300dde8f3b1fc",
+    "vqe9-refreshNone": "94d143300bdd9a422f427c48c0c9d1e2277f1d3b3a0d80987fdb6238e99c2676",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_pinned_configs()))
+def test_mapping_output_pinned(name):
+    """The mapper's full output is pinned byte for byte: any change to the
+    IR, the demands, a counter or a raised error shows up here."""
+    family, qubits, kwargs = _pinned_configs()[name]
+    pattern = translate_circuit(make_benchmark(family, qubits, seed=0))
+    dump = json.dumps(_canonical_mapping(pattern, **kwargs), sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == MAPPING_DIGESTS[name]
