@@ -1,7 +1,8 @@
 """Print a perf-trend diff: working-tree BENCH_*.json vs the committed ones.
 
-The bench suite rewrites ``benchmarks/BENCH_*.json`` in place, so after a
-CI bench run the working tree holds fresh numbers while ``HEAD`` holds the
+With ``REPRO_WRITE_BENCH_SNAPSHOTS=1`` (see ``snapshots.py``) the bench
+suite rewrites ``benchmarks/BENCH_*.json`` in place, so after a CI bench
+run the working tree holds fresh numbers while ``HEAD`` holds the
 snapshots the PR was based on.  This script walks every numeric leaf of
 each snapshot pair and prints old -> new with a percentage delta, so a
 PR's perf trajectory is visible straight from the job log (the JSON files

@@ -21,12 +21,13 @@ Two measurements land in ``benchmarks/BENCH_cache.json``:
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from pathlib import Path
 
 import numpy as np
+
+from snapshots import write_snapshot
 
 from repro.circuits.benchmarks import make_benchmark
 from repro.online.percolation import sample_lattice
@@ -143,7 +144,7 @@ def test_cached_sweep_throughput_snapshot():
             "vector_over_dsu": precheck_speedup,
         },
     }
-    SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
+    write_snapshot(SNAPSHOT, snapshot)
 
     # The cold run's prefix sharing: every circuit's translate/rewrite/
     # offline-map computed once, then hit for the other seeds of the axis.

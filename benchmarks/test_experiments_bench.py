@@ -9,10 +9,11 @@ visible across PRs.  Everything lands in
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from pathlib import Path
+
+from snapshots import write_snapshot
 
 from repro.circuits.benchmarks import make_benchmark
 from repro.experiments import get_experiment, make_runner
@@ -77,4 +78,4 @@ def test_batched_sweep_throughput_snapshot():
         "per_item_compile": {"ops_per_s": per_item_ops, "total_s": per_item_s},
         "fig15_bench_runner_seconds": runner_seconds,
     }
-    SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
+    write_snapshot(SNAPSHOT, snapshot)

@@ -23,10 +23,11 @@ Three measurements land in ``benchmarks/BENCH_passes.json``:
 from __future__ import annotations
 
 import dataclasses
-import json
 import platform
 import time
 from pathlib import Path
+
+from snapshots import write_snapshot
 
 from repro.circuits.benchmarks import make_benchmark
 from repro.circuits.jcz import to_jcz
@@ -119,7 +120,7 @@ def test_rewrite_shrink_and_reshape_snapshot():
             "warm_hits": warm_hits,
         },
     }
-    SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
+    write_snapshot(SNAPSHOT, snapshot)
 
     for name, row in shrink.items():
         assert row["contracted_pairs"] > 0, f"{name}: rewrite contracted nothing"

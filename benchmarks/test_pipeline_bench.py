@@ -11,12 +11,13 @@ later PRs can track the trajectory.
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from pathlib import Path
 
 import numpy as np
+
+from snapshots import write_snapshot
 
 from repro.online.percolation import sample_lattice
 from repro.online.renormalize import renormalize
@@ -90,7 +91,7 @@ def test_components_speedup_and_snapshot():
         "pathfind_speedup": pathfind_speedup,
         "compile_qaoa4_pass_seconds": result.timings_by_pass,
     }
-    SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
+    write_snapshot(SNAPSHOT, snapshot)
 
     assert speedup >= 3.0, (
         f"vectorized components() is only {speedup:.1f}x the DSU version "

@@ -24,11 +24,12 @@ Two gates:
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
 from pathlib import Path
+
+from snapshots import write_snapshot
 
 from repro.experiments import CompileJob, canonical_json, make_runner
 from repro.pipeline import PipelineSettings
@@ -122,7 +123,7 @@ def test_scaling_snapshot_and_floor():
         "process_floor": floor,
         "records_identical": True,
     }
-    SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
+    write_snapshot(SNAPSHOT, snapshot)
 
     assert speedups["process"] >= floor, (
         f"process runner lost to serial: {seconds['process']:.3f}s vs "

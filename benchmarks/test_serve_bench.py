@@ -23,11 +23,12 @@ Three measurements land in ``benchmarks/BENCH_serve.json`` (picked up by
 
 from __future__ import annotations
 
-import json
 import platform
 import threading
 import time
 from pathlib import Path
+
+from snapshots import write_snapshot
 
 from repro.experiments.api import canonical_json, get_experiment
 from repro.pipeline.cache import DiskCache
@@ -131,7 +132,7 @@ def test_serve_latency_and_coalescing_snapshot(tmp_path):
             "singleflight_coalesced": flight["coalesced"],
         },
     }
-    SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
+    write_snapshot(SNAPSHOT, snapshot)
 
     assert warm_speedup >= WARM_FLOOR, (
         f"warm request only {warm_speedup:.2f}x over cold (floor {WARM_FLOOR}x)"

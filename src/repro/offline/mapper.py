@@ -113,7 +113,14 @@ class OfflineMapper:
 
 
 class _MapperState:
-    """One mapping run's mutable state (kept off the public mapper object)."""
+    """One mapping run's mutable state (kept off the public mapper object).
+
+    The per-layer bookkeeping is incremental: the scheduler's ready set,
+    the mapped-neighbour counts, the multiset of memory homes and the
+    running memory total are updated where nodes are consumed and memory
+    entries are stored, re-stored or forgotten, instead of being recomputed
+    from scratch on every layer.
+    """
 
     def __init__(self, mapper: OfflineMapper, pattern: MeasurementPattern) -> None:
         self.mapper = mapper
@@ -123,8 +130,19 @@ class _MapperState:
         self.ir = FlexLatticeIR(mapper.width)
         self.memory: dict[int, MemoryEntry] = {}
         self.consumed: set[int] = set()
-        self.deferred_edges: set[frozenset[int]] = set()
-        self.demands: list[LayerDemand] = []
+        # Deferred edges keyed (lo, hi).  The value is the endpoint order of
+        # the first frozenset({u, v}) that deferred the edge: route direction
+        # and the relocation mover follow it.
+        self.deferred_edges: dict[tuple[int, int], tuple[int, int]] = {}
+        # Scheduler: unconsumed predecessors per node, and the nodes with
+        # none left (the DAG's front layer).
+        self.unmet = {node: len(self.dag.predecessors(node)) for node in pattern.nodes}
+        self.ready = {node for node, count in self.unmet.items() if count == 0}
+        self.mapped_neighbors = dict.fromkeys(pattern.nodes, 0)
+        # Memory: how many entries live at each home cell, and the sum of
+        # their stored_layer fields.
+        self.home_count: dict[Coord2D, int] = {}
+        self.stored_layer_sum = 0
         self.layer = -1
         self.layers_since_refresh = 0
         self.refresh_layers = 0
@@ -195,6 +213,74 @@ class _MapperState:
         """Whether any stored node still owes edges."""
         return any(entry.pending for entry in self.memory.values())
 
+    # -- incremental state ----------------------------------------------
+
+    def _consume(self, g_node: int) -> None:
+        """Mark ``g_node`` mapped and update the scheduler's counters."""
+        self.consumed.add(g_node)
+        self.ready.discard(g_node)
+        unmet = self.unmet
+        for later in self.dag.successors(g_node):
+            unmet[later] -= 1
+            if not unmet[later]:
+                self.ready.add(later)
+        mapped_neighbors = self.mapped_neighbors
+        for nb in self.graph.neighbors(g_node):
+            mapped_neighbors[nb] += 1
+
+    def _store(self, entry: MemoryEntry) -> None:
+        self.memory[entry.g_node] = entry
+        self.home_count[entry.home] = self.home_count.get(entry.home, 0) + 1
+        self.stored_layer_sum += entry.stored_layer
+
+    def _forget(self, g_node: int) -> None:
+        entry = self.memory.pop(g_node)
+        self._leave_home(entry.home)
+        self.stored_layer_sum -= entry.stored_layer
+
+    def _leave_home(self, home: Coord2D) -> None:
+        count = self.home_count[home] - 1
+        if count:
+            self.home_count[home] = count
+        else:
+            del self.home_count[home]
+
+    def _retrieve(self, entry: MemoryEntry) -> None:
+        """Bring a stored wire onto this layer at its home and re-store it."""
+        coord = (entry.home[0], entry.home[1], self.layer)
+        self.ir.add_node(coord, ROLE_WORLDLINE, entry.g_node)
+        self.ir.add_temporal_edge(entry.last_coord, coord)
+        self.retrievals += 1
+        self.stored_layer_sum += self.layer - entry.stored_layer
+        entry.last_coord = coord
+        entry.stored_layer = self.layer
+
+    def _retire(self, a: int, b: int) -> None:
+        """Drop the realized edge (a, b) from both nodes' pending sets."""
+        for node, other in ((a, b), (b, a)):
+            entry = self.memory.get(node)
+            if entry is not None:
+                entry.pending.discard(other)
+                if not entry.pending:
+                    self._forget(node)
+
+    def _lay_wire(self, grid: LayerGrid, start: Coord2D, wire: list[Coord2D]) -> Coord2D:
+        """Turn ``wire`` into a chain of ancillas joined to ``start``.
+
+        Returns the wire's last cell (``start`` for an empty wire); the
+        caller joins it to the far endpoint.
+        """
+        layer = self.layer
+        previous = start
+        for step in wire:
+            grid.occupy(step, "ancilla")
+            coord = (step[0], step[1], layer)
+            self.ir.add_node(coord, ROLE_ANCILLA, None)
+            self.ir.add_spatial_edge((previous[0], previous[1], layer), coord)
+            previous = step
+        self.ancilla_cells += len(wire)
+        return previous
+
     # -- per-layer mapping ------------------------------------------------
 
     def _map_one_layer(self) -> bool:
@@ -202,70 +288,59 @@ class _MapperState:
         self.layers_since_refresh += 1
         grid = LayerGrid(self.mapper.width)
         placed_here: dict[int, Coord2D] = {}  # g_node -> cell (residents + worldlines)
-        adjacent_connections = 0
-        cross_connections = 0
         incomplete_here = 0
         progress = False
         limit = max(1, int(self.mapper.occupancy_limit * self.mapper.width**2))
 
-        def note_connection(gap: int) -> None:
-            nonlocal adjacent_connections, cross_connections
-            if gap == 1:
-                adjacent_connections += 1
-            else:
-                cross_connections += 1
-
         # Phase 1: realize deferred edges between stored worldlines first —
         # retiring memory takes precedence over growing it, which keeps the
         # live population (and therefore refresh cost) bounded.
-        for edge in sorted(self.deferred_edges, key=sorted):
-            u, v = tuple(edge)
-            if self._try_realize_deferred(u, v, grid, placed_here, note_connection):
-                self.deferred_edges.discard(edge)
-                self.deferred_realized += 1
-                progress = True
+        deferred = self.deferred_edges
+        memory = self.memory
+        busy = grid.cells
+        for key in sorted(deferred):
+            u, v = deferred[key]
+            # Most edges wait on a busy home cell; check that here, u fully
+            # before v, so an untracked endpoint still raises.
+            for node in (u, v):
+                if node in placed_here:
+                    continue
+                entry = memory.get(node)
+                if entry is None:
+                    raise MappingError(f"deferred edge endpoint {node} untracked")
+                if entry.home in busy:
+                    break
+            else:
+                if self._realize_deferred(u, v, grid, placed_here):
+                    del deferred[key]
+                    self.deferred_realized += 1
+                    progress = True
 
         # Phase 2: place new nodes from the scheduler's candidate list.
         for g_node in self._candidates():
             if incomplete_here >= limit:
                 break
-            outcome = self._try_place(g_node, grid, placed_here, note_connection)
-            if outcome is None:
+            pending = self._try_place(g_node, grid, placed_here)
+            if pending is None:
                 continue
             progress = True
-            pending_after = outcome
-            if pending_after:
+            if pending:
                 incomplete_here += 1
 
         # End of layer: every on-layer node with pending edges is stored.
         self._store_leftovers(placed_here)
-        self.demands.append(
-            LayerDemand(
-                adjacent_connections=adjacent_connections,
-                cross_connections=cross_connections,
-            )
-        )
         return progress
 
     def _candidates(self) -> list[int]:
         if self._static_order is not None:
             # Static partition (the OneQ inheritance): the fixed topological
             # order, no priority reshuffling as the mapping evolves.
-            return [
-                node
-                for node in self._static_order
-                if node not in self.consumed
-                and self.dag.predecessors(node) <= self.consumed
-            ]
-        front = self.dag.front_layer(self.consumed)
-        # Prefer nodes with many already-mapped neighbours: they retire
-        # pending edges (and therefore memory) fastest.
-        front.sort(
-            key=lambda node: -sum(
-                1 for nb in self.graph.neighbors(node) if nb in self.consumed
-            )
-        )
-        return front
+            return [node for node in self._static_order if node in self.ready]
+        # The front layer in id order, then nodes with many already-mapped
+        # neighbours first: they retire pending edges (and therefore
+        # memory) fastest.
+        mapped_neighbors = self.mapped_neighbors
+        return sorted(self.ready, key=lambda node: (-mapped_neighbors[node], node))
 
     # -- placement --------------------------------------------------------
 
@@ -274,7 +349,6 @@ class _MapperState:
         g_node: int,
         grid: LayerGrid,
         placed_here: dict[int, Coord2D],
-        note_connection,
     ) -> set[int] | None:
         """Attempt to place ``g_node`` and realize what edges it can.
 
@@ -302,26 +376,29 @@ class _MapperState:
         # retrieve at its home cell on the same layer another node would
         # occupy), then cells that at least aren't a direct neighbour's home,
         # then any free cell — placement must not deadlock, since edges can
-        # always be realized later through worldline meetings.
-        neighbor_homes = {
-            self.memory[nb].home for nb in mapped_neighbors if nb in self.memory
-        }
-        all_homes = {entry.home for entry in self.memory.values()}
-        by_distance = sorted(
-            grid.free_cells(),
-            key=lambda c: sum(abs(c[0] - a[0]) + abs(c[1] - a[1]) for a in anchors),
-        )
-        cell = next((c for c in by_distance if c not in all_homes), None)
+        # always be realized later through worldline meetings.  Ties go to
+        # the first cell in row-major order.
+        def distance(c: Coord2D) -> int:
+            return sum(abs(c[0] - a[0]) + abs(c[1] - a[1]) for a in anchors)
+
+        free = grid.free_cells()
+        homes = self.home_count
+        cell = min((c for c in free if c not in homes), key=distance, default=None)
         if cell is None:
-            cell = next((c for c in by_distance if c not in neighbor_homes), None)
-        if cell is None and by_distance:
-            cell = by_distance[0]
+            neighbor_homes = {
+                self.memory[nb].home for nb in mapped_neighbors if nb in self.memory
+            }
+            cell = min(
+                (c for c in free if c not in neighbor_homes), key=distance, default=None
+            )
+        if cell is None:
+            cell = min(free, key=distance, default=None)
         if cell is None:
             return None
 
         grid.occupy(cell, g_node)
         self.ir.add_node((cell[0], cell[1], self.layer), ROLE_GRAPH, g_node)
-        self.consumed.add(g_node)
+        self._consume(g_node)
         placed_here[g_node] = cell
 
         def neighbor_position(nb: int) -> Coord2D:
@@ -334,17 +411,19 @@ class _MapperState:
             + abs(neighbor_position(nb)[1] - cell[1]),
         )
         for nb in ordered:
-            if self._realize_edge(g_node, nb, grid, placed_here, note_connection):
+            if self._realize_edge(g_node, nb, grid, placed_here):
                 realized.add(nb)
 
         pending = set(neighbors) - realized
         if pending:
-            self.memory[g_node] = MemoryEntry(
-                g_node=g_node,
-                home=cell,
-                last_coord=(cell[0], cell[1], self.layer),
-                stored_layer=self.layer,
-                pending=set(pending),
+            self._store(
+                MemoryEntry(
+                    g_node=g_node,
+                    home=cell,
+                    last_coord=(cell[0], cell[1], self.layer),
+                    stored_layer=self.layer,
+                    pending=set(pending),
+                )
             )
         return pending
 
@@ -354,7 +433,6 @@ class _MapperState:
         nb: int,
         grid: LayerGrid,
         placed_here: dict[int, Coord2D],
-        note_connection,
     ) -> bool:
         """Route the edge (g_node, nb) on the current layer (one transaction).
 
@@ -366,10 +444,9 @@ class _MapperState:
         if nb in placed_here:
             nb_cell = placed_here[nb]
         elif nb in self.memory:
-            entry = self.memory[nb]
-            if not grid.is_free(entry.home):
+            nb_cell = self.memory[nb].home
+            if nb_cell in grid.cells:
                 return False
-            nb_cell = entry.home
             retrieved = True
         else:
             return False
@@ -386,61 +463,28 @@ class _MapperState:
 
         layer = self.layer
         if retrieved:
-            entry = self.memory[nb]
-            coord = (nb_cell[0], nb_cell[1], layer)
-            self.ir.add_node(coord, ROLE_WORLDLINE, nb)
-            self.ir.add_temporal_edge(entry.last_coord, coord)
-            note_connection(layer - entry.last_coord[2])
-            self.retrievals += 1
-            entry.last_coord = coord
-            entry.stored_layer = layer
+            self._retrieve(self.memory[nb])
             placed_here[nb] = nb_cell
-        previous = nb_cell
-        for step in wire:
-            grid.occupy(step, "ancilla")
-            self.ir.add_node((step[0], step[1], layer), ROLE_ANCILLA, None)
-            self.ir.add_spatial_edge(
-                (previous[0], previous[1], layer), (step[0], step[1], layer)
-            )
-            previous = step
-            self.ancilla_cells += 1
-        self.ir.add_spatial_edge(
-            (previous[0], previous[1], layer), (cell[0], cell[1], layer)
-        )
-
-        # Retire the pending obligation on both sides.
-        if nb in self.memory:
-            self.memory[nb].pending.discard(g_node)
-            if not self.memory[nb].pending:
-                del self.memory[nb]
-        if g_node in self.memory:
-            self.memory[g_node].pending.discard(nb)
-            if not self.memory[g_node].pending:
-                del self.memory[g_node]
+        end = self._lay_wire(grid, nb_cell, wire)
+        self.ir.add_spatial_edge((end[0], end[1], layer), (cell[0], cell[1], layer))
+        self._retire(nb, g_node)
         return True
 
-    def _try_realize_deferred(
+    def _realize_deferred(
         self,
         u: int,
         v: int,
         grid: LayerGrid,
         placed_here: dict[int, Coord2D],
-        note_connection,
     ) -> bool:
-        """Realize a deferred edge by meeting both worldlines on this layer."""
-        positions: dict[int, Coord2D] = {}
-        to_retrieve: list[int] = []
-        for node in (u, v):
-            if node in placed_here:
-                positions[node] = placed_here[node]
-            elif node in self.memory:
-                entry = self.memory[node]
-                if not grid.is_free(entry.home):
-                    return False
-                positions[node] = entry.home
-                to_retrieve.append(node)
-            else:
-                raise MappingError(f"deferred edge endpoint {node} untracked")
+        """Realize a deferred edge by meeting both worldlines on this layer.
+
+        Each endpoint is on this layer already or stored with a free home.
+        """
+        positions = {
+            node: placed_here[node] if node in placed_here else self.memory[node].home
+            for node in (u, v)
+        }
         if positions[u] == positions[v]:
             # Both wires live at the same coordinate (placed there on
             # different layers).  Relocate one of them to a fresh home so the
@@ -448,47 +492,24 @@ class _MapperState:
             mover = u if u in self.memory else v
             return self._relocate_home(mover, grid, placed_here)
 
-        allocations: list[Coord2D] = []
+        to_retrieve = [node for node in (u, v) if node not in placed_here]
         for node in to_retrieve:
-            home = self.memory[node].home
-            grid.occupy(home, ("worldline", node))
-            allocations.append(home)
+            grid.occupy(positions[node], ("worldline", node))
         wire = route(grid, positions[u], positions[v])
         if wire is None:
-            for cell in allocations:
-                grid.release(cell)
+            for node in to_retrieve:
+                grid.release(positions[node])
             return False
 
         for node in to_retrieve:
-            entry = self.memory[node]
-            coord = (entry.home[0], entry.home[1], self.layer)
-            self.ir.add_node(coord, ROLE_WORLDLINE, node)
-            self.ir.add_temporal_edge(entry.last_coord, coord)
-            note_connection(self.layer - entry.last_coord[2])
-            self.retrievals += 1
-            entry.last_coord = coord
-            entry.stored_layer = self.layer
-            placed_here[node] = entry.home
-        previous = positions[u]
-        for step in wire:
-            grid.occupy(step, "ancilla")
-            coord = (step[0], step[1], self.layer)
-            self.ir.add_node(coord, ROLE_ANCILLA, None)
-            self.ir.add_spatial_edge(
-                (previous[0], previous[1], self.layer), coord
-            )
-            previous = step
-            self.ancilla_cells += 1
+            self._retrieve(self.memory[node])
+            placed_here[node] = positions[node]
+        end = self._lay_wire(grid, positions[u], wire)
         self.ir.add_spatial_edge(
-            (previous[0], previous[1], self.layer),
+            (end[0], end[1], self.layer),
             (positions[v][0], positions[v][1], self.layer),
         )
-        for node, other in ((u, v), (v, u)):
-            if node in self.memory:
-                entry = self.memory[node]
-                entry.pending.discard(other)
-                if not entry.pending:
-                    del self.memory[node]
+        self._retire(u, v)
         return True
 
     def _relocate_home(
@@ -502,76 +523,65 @@ class _MapperState:
         Retrieves the node at its (colliding) home, extends the wire
         spatially to a free cell, and re-stores it there.  Counts as layer
         progress: the deferred edge becomes realizable once the homes differ.
+        The entry is updated in place: its position in the memory's
+        insertion order sets the refresh batches.
         """
         entry = self.memory.get(g_node)
         if entry is None or g_node in placed_here:
             return False
-        if not grid.is_free(entry.home):
+        home = entry.home
+        if home in grid.cells:
             return False
-        occupied_homes = {
-            other.home for other in self.memory.values() if other.g_node != g_node
-        }
-        target = next(
-            (
-                cell
-                for cell in sorted(
-                    grid.free_cells(),
-                    key=lambda c: abs(c[0] - entry.home[0]) + abs(c[1] - entry.home[1]),
-                )
-                if cell != entry.home and cell not in occupied_homes
-            ),
-            None,
+        # The nearest free cell that is nobody's home (this entry's own home
+        # included), ties to the first in row-major order.
+        target = min(
+            (c for c in grid.free_cells() if c not in self.home_count),
+            key=lambda c: abs(c[0] - home[0]) + abs(c[1] - home[1]),
+            default=None,
         )
         if target is None:
             return False
-        grid.occupy(entry.home, ("worldline", g_node))
-        wire = route(grid, entry.home, target)
+        grid.occupy(home, ("worldline", g_node))
+        wire = route(grid, home, target)
         if wire is None:
-            grid.release(entry.home)
+            grid.release(home)
             return False
         grid.occupy(target, ("worldline", g_node))
 
-        layer = self.layer
-        old_coord = (entry.home[0], entry.home[1], layer)
-        new_coord = (target[0], target[1], layer)
-        self.ir.add_node(old_coord, ROLE_WORLDLINE, g_node)
-        self.ir.add_temporal_edge(entry.last_coord, old_coord)
-        self.retrievals += 1
-        previous = entry.home
-        for step in wire:
-            grid.occupy(step, "ancilla")
-            self.ir.add_node((step[0], step[1], layer), ROLE_ANCILLA, None)
-            self.ir.add_spatial_edge(
-                (previous[0], previous[1], layer), (step[0], step[1], layer)
-            )
-            previous = step
-            self.ancilla_cells += 1
+        self._retrieve(entry)
+        end = self._lay_wire(grid, home, wire)
         # The wire's new end arrives spatially (no temporal predecessor) but
         # keeps the program node's identity: it is the same logical wire.
+        new_coord = (target[0], target[1], self.layer)
         self.ir.add_node(new_coord, ROLE_WORLDLINE, g_node)
-        self.ir.add_spatial_edge((previous[0], previous[1], layer), new_coord)
+        self.ir.add_spatial_edge((end[0], end[1], self.layer), new_coord)
+        self._leave_home(home)
+        self.home_count[target] = 1
         entry.home = target
         entry.last_coord = new_coord
-        entry.stored_layer = layer
         placed_here[g_node] = target
         return True
 
     def _store_leftovers(self, placed_here: dict[int, Coord2D]) -> None:
-        """Split still-pending edges into per-node memory entries and defer
-        edges whose both endpoints are already mapped but unrouted."""
-        for g_node in list(placed_here):
-            if g_node not in self.memory:
+        """Defer the pending edges of this layer's stored nodes whose other
+        endpoint is already mapped but unrouted."""
+        deferred = self.deferred_edges
+        for g_node in placed_here:
+            entry = self.memory.get(g_node)
+            if entry is None:
                 continue
-            entry = self.memory[g_node]
-            for nb in list(entry.pending):
+            for nb in entry.pending:
                 if nb in self.consumed:
-                    self.deferred_edges.add(frozenset((g_node, nb)))
+                    key = (g_node, nb) if g_node < nb else (nb, g_node)
+                    if key not in deferred:
+                        deferred[key] = tuple(frozenset((g_node, nb)))
 
     # -- memory accounting and refresh ---------------------------------
 
     def _account_memory(self) -> None:
-        used = self.mapper.bytes_per_node_layer * sum(
-            (self.layer - entry.stored_layer + 1) for entry in self.memory.values()
+        # sum(layer - stored_layer + 1) over the memory, kept as a running sum.
+        used = self.mapper.bytes_per_node_layer * (
+            len(self.memory) * (self.layer + 1) - self.stored_layer_sum
         )
         self.peak_memory = max(self.peak_memory, used)
         budget = self.mapper.memory_budget_bytes
@@ -599,26 +609,11 @@ class _MapperState:
             self.layer += 1
             self.refresh_layers += 1
             used_homes: set[Coord2D] = set()
-            adjacent = 0
-            cross = 0
             while index < len(entries) and len(used_homes) < batch_capacity:
                 entry = entries[index]
                 if entry.home in used_homes:
                     break  # home conflict: push to the next refresh layer
                 used_homes.add(entry.home)
-                coord = (entry.home[0], entry.home[1], self.layer)
-                self.ir.add_node(coord, ROLE_WORLDLINE, entry.g_node)
-                self.ir.add_temporal_edge(entry.last_coord, coord)
-                gap = self.layer - entry.last_coord[2]
-                if gap == 1:
-                    adjacent += 1
-                else:
-                    cross += 1
-                self.retrievals += 1
-                entry.last_coord = coord
-                entry.stored_layer = self.layer
+                self._retrieve(entry)
                 index += 1
-            self.demands.append(
-                LayerDemand(adjacent_connections=adjacent, cross_connections=cross)
-            )
         self.layers_since_refresh = 0

@@ -10,16 +10,36 @@ cells are free, which the mapper controls.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 
 from repro.utils.gridgeom import Coord2D, grid_neighbors4
 
 
+@cache
+def _grid_tables(width: int) -> tuple[tuple[Coord2D, ...], tuple[tuple[int, ...], ...]]:
+    """A ``width`` x ``width`` layer's cells in row-major order, and each
+    cell's in-bounds 4-neighbours as row-major indices; built on first use
+    per width."""
+    cells = tuple((row, col) for row in range(width) for col in range(width))
+    neighbors = tuple(
+        tuple(nrow * width + ncol for nrow, ncol in grid_neighbors4(cell, width))
+        for cell in cells
+    )
+    return cells, neighbors
+
+
 class LayerGrid:
-    """Occupancy of one virtual-hardware layer."""
+    """Occupancy of one virtual-hardware layer.
+
+    ``cells`` maps each occupied cell to its owner; ``busy`` mirrors it as
+    one byte per cell in row-major order, which the router scans.
+    """
 
     def __init__(self, width: int) -> None:
         self.width = width
         self.cells: dict[Coord2D, object] = {}
+        self.busy = bytearray(width * width)
+        self.all_cells, self.neighbors = _grid_tables(width)
 
     def is_free(self, cell: Coord2D) -> bool:
         return cell not in self.cells
@@ -28,17 +48,15 @@ class LayerGrid:
         if cell in self.cells:
             raise ValueError(f"cell {cell} already occupied by {self.cells[cell]!r}")
         self.cells[cell] = owner
+        self.busy[cell[0] * self.width + cell[1]] = 1
 
     def release(self, cell: Coord2D) -> None:
-        self.cells.pop(cell, None)
+        if cell in self.cells:
+            del self.cells[cell]
+            self.busy[cell[0] * self.width + cell[1]] = 0
 
     def free_cells(self) -> list[Coord2D]:
-        return [
-            (row, col)
-            for row in range(self.width)
-            for col in range(self.width)
-            if (row, col) not in self.cells
-        ]
+        return [cell for cell, taken in zip(self.all_cells, self.busy) if not taken]
 
     def nearest_free(self, anchors: list[Coord2D]) -> Coord2D | None:
         """The free cell minimizing total Manhattan distance to ``anchors``.
@@ -66,21 +84,28 @@ def route(grid: LayerGrid, start: Coord2D, goal: Coord2D) -> list[Coord2D] | Non
     """
     if abs(start[0] - goal[0]) + abs(start[1] - goal[1]) == 1:
         return []
-    parents: dict[Coord2D, Coord2D] = {}
-    seen = {start}
-    queue: deque[Coord2D] = deque([start])
+    width = grid.width
+    origin = start[0] * width + start[1]
+    target = goal[0] * width + goal[1]
+    neighbors = grid.neighbors
+    if all(grid.busy[index] for index in neighbors[target]):
+        return None  # only a free cell next to the goal can end a wire
+    blocked = bytearray(grid.busy)  # occupied or already seen
+    blocked[origin] = 1
+    parents: dict[int, int] = {}
+    queue: deque[int] = deque([origin])
     while queue:
         current = queue.popleft()
-        for neighbor in grid_neighbors4(current, grid.width):
-            if neighbor == goal and current != start:
+        for neighbor in neighbors[current]:
+            if neighbor == target and current != origin:
                 path = [current]
-                while path[-1] != start:
+                while path[-1] != origin:
                     path.append(parents[path[-1]])
-                path.reverse()
-                return path[1:] if path and path[0] == start else path
-            if neighbor in seen or not grid.is_free(neighbor):
+                cells = grid.all_cells
+                return [cells[index] for index in reversed(path[:-1])]
+            if blocked[neighbor]:
                 continue
-            seen.add(neighbor)
+            blocked[neighbor] = 1
             parents[neighbor] = current
             queue.append(neighbor)
     return None

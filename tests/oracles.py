@@ -7,10 +7,14 @@ only job is to prove two implementations equal.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from repro.hardware import FusionDevice, HardwareConfig
 from repro.hardware.rsg import MergeResult
+from repro.offline import LayerGrid
+from repro.utils.gridgeom import Coord2D, grid_neighbors4
 
 
 def merge_layers_reference(config: HardwareConfig, device: FusionDevice) -> MergeResult:
@@ -52,3 +56,33 @@ def merge_layers_reference(config: HardwareConfig, device: FusionDevice) -> Merg
             degrees[failure] -= 1
             joiner[failure] -= 1
     return MergeResult(alive=alive, degrees=degrees, merge_fusions=merge_fusions)
+
+
+def route_reference(grid: LayerGrid, start: Coord2D, goal: Coord2D) -> list[Coord2D] | None:
+    """Coordinate-tuple twin of :func:`repro.offline.route`.
+
+    A plain BFS from ``start`` over free cells that stops at the first
+    dequeued cell next to ``goal``.  The product version runs the same
+    search over row-major cell indices and a byte mask, and returns at once
+    when no free cell touches the goal; the wires must be identical.
+    """
+    if abs(start[0] - goal[0]) + abs(start[1] - goal[1]) == 1:
+        return []
+    parents: dict[Coord2D, Coord2D] = {}
+    seen = {start}
+    queue: deque[Coord2D] = deque([start])
+    while queue:
+        current = queue.popleft()
+        for neighbor in grid_neighbors4(current, grid.width):
+            if neighbor == goal and current != start:
+                path = [current]
+                while path[-1] != start:
+                    path.append(parents[path[-1]])
+                path.reverse()
+                return path[1:]
+            if neighbor in seen or not grid.is_free(neighbor):
+                continue
+            seen.add(neighbor)
+            parents[neighbor] = current
+            queue.append(neighbor)
+    return None

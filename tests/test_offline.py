@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import route_reference
 
 from repro.circuits import Circuit, make_benchmark, qaoa, qft, vqe
 from repro.errors import MappingError, MemoryBudgetExceeded
 from repro.ir import InstructionInterpreter, lower_ir
 from repro.mbqc import translate_circuit
 from repro.offline import LayerGrid, OfflineMapper, route
+from repro.offline.mapper import _MapperState
 from repro.pipeline.settings import virtual_size_for
 
 
@@ -66,6 +70,18 @@ class TestRoute:
         for row in range(3):
             grid.occupy((row, 1), "wall")
         assert route(grid, (0, 0), (0, 2)) is None
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bfs(self, data):
+        width = data.draw(st.integers(2, 6))
+        cells = [(row, col) for row in range(width) for col in range(width)]
+        grid = LayerGrid(width)
+        for cell in data.draw(st.lists(st.sampled_from(cells), unique=True)):
+            grid.occupy(cell, "wall")
+        start = data.draw(st.sampled_from(cells))
+        goal = data.draw(st.sampled_from(cells))
+        assert route(grid, start, goal) == route_reference(grid, start, goal)
 
     def test_wire_cells_are_free_cells(self):
         grid = LayerGrid(5)
@@ -212,13 +228,12 @@ def _canonical_mapping(pattern, **kwargs) -> dict:
         result = OfflineMapper(**kwargs).map_pattern(pattern)
     except MappingError as exc:
         return {"error": type(exc).__name__, "message": str(exc)}
-    link = lambda coord: None if coord is None else list(coord)  # noqa: E731
     return {
         "nodes": [
-            [list(coord), node.role, node.g_node, link(node.temporal_prev), link(node.temporal_next)]
+            [coord, node.role, node.g_node, node.temporal_prev, node.temporal_next]
             for coord, node in result.ir.nodes.items()
         ],
-        "spatial": sorted(sorted(list(end) for end in edge) for edge in result.ir.spatial_edges),
+        "spatial": sorted(sorted(edge) for edge in result.ir.spatial_edges),
         "demands": [
             [d.adjacent_connections, d.cross_connections, list(d.cross_gaps)]
             for d in result.demands
@@ -289,3 +304,76 @@ def test_mapping_output_pinned(name):
     pattern = translate_circuit(make_benchmark(family, qubits, seed=0))
     dump = json.dumps(_canonical_mapping(pattern, **kwargs), sort_keys=True)
     assert hashlib.sha256(dump.encode()).hexdigest() == MAPPING_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# The mapper's incremental state against its from-scratch definitions.
+# ---------------------------------------------------------------------------
+
+
+class _CheckedState(_MapperState):
+    """A mapping run that recomputes every piece of incremental state from
+    its definition after each layer and refresh, and compares."""
+
+    def _map_one_layer(self) -> bool:
+        progress = super()._map_one_layer()
+        self.check()
+        return progress
+
+    def _run_refresh(self) -> None:
+        super()._run_refresh()
+        self.check()
+
+    def check(self) -> None:
+        assert sorted(self.ready) == self.dag.front_layer(self.consumed)
+        for node in self.pattern.nodes:
+            recount = sum(1 for nb in self.graph.neighbors(node) if nb in self.consumed)
+            assert self.mapped_neighbors[node] == recount
+        assert self.home_count == Counter(entry.home for entry in self.memory.values())
+        running = len(self.memory) * (self.layer + 1) - self.stored_layer_sum
+        assert running == sum(
+            self.layer - entry.stored_layer + 1 for entry in self.memory.values()
+        )
+        for key, (u, v) in self.deferred_edges.items():
+            assert key == (min(u, v), max(u, v))
+
+
+@st.composite
+def _mapping_cases(draw):
+    """A small random {J, CZ} circuit and mapper settings to map it with."""
+    num_qubits = draw(st.integers(2, 5))
+    circuit = Circuit(num_qubits, name="hyp")
+    for _ in range(draw(st.integers(1, 24))):
+        a = draw(st.integers(0, num_qubits - 1))
+        b = draw(st.integers(0, num_qubits - 1))
+        if a == b:
+            circuit.j(draw(st.sampled_from((0.0, 0.5, 1.0))), a)
+        else:
+            circuit.cz(a, b)
+    settings_ = {
+        "width": draw(st.integers(2, 4)),
+        "occupancy_limit": draw(st.sampled_from((0.25, 0.5, 1.0))),
+        "refresh_every": draw(st.sampled_from((None, 1, 3, 6))),
+        "dynamic_scheduling": draw(st.booleans()),
+        "bytes_per_node_layer": 1,
+    }
+    return circuit, settings_
+
+
+@given(_mapping_cases())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_incremental_state_matches_definitions(case):
+    circuit, kwargs = case
+    pattern = translate_circuit(circuit)
+    result = _CheckedState(OfflineMapper(**kwargs), pattern).run()
+    expected = {frozenset((u, v)) for u, v in pattern.graph.edges()}
+    assert result.ir.connected_graph_pairs() == expected
+
+
+def test_untracked_deferred_endpoint_raises():
+    """A deferred edge whose endpoint is neither on the layer nor in memory
+    is a bookkeeping bug, reported rather than skipped."""
+    state = _MapperState(OfflineMapper(width=2), translate_circuit(qft(4)))
+    state.deferred_edges[(0, 1)] = (0, 1)
+    with pytest.raises(MappingError, match="deferred edge endpoint 0 untracked"):
+        state._map_one_layer()
