@@ -336,9 +336,9 @@ class _MapperState:
             # Static partition (the OneQ inheritance): the fixed topological
             # order, no priority reshuffling as the mapping evolves.
             return [node for node in self._static_order if node in self.ready]
-        # The front layer in id order, then nodes with many already-mapped
-        # neighbours first: they retire pending edges (and therefore
-        # memory) fastest.
+        # The front layer, nodes with more already-mapped neighbours first
+        # (ties by id): they retire pending edges (and therefore memory)
+        # fastest.
         mapped_neighbors = self.mapped_neighbors
         return sorted(self.ready, key=lambda node: (-mapped_neighbors[node], node))
 
