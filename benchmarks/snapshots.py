@@ -17,9 +17,7 @@ from pathlib import Path
 WRITE_ENV = "REPRO_WRITE_BENCH_SNAPSHOTS"
 
 
-def write_snapshot(path: Path, snapshot: dict) -> bool:
-    """Write ``snapshot`` to ``path`` if writes are enabled; report whether it did."""
-    if os.environ.get(WRITE_ENV) != "1":
-        return False
-    path.write_text(json.dumps(snapshot, indent=2) + "\n")
-    return True
+def write_snapshot(path: Path, snapshot: dict) -> None:
+    """Write ``snapshot`` to ``path`` as indented JSON, if writes are enabled."""
+    if os.environ.get(WRITE_ENV) == "1":
+        path.write_text(json.dumps(snapshot, indent=2) + "\n")
