@@ -15,7 +15,8 @@ Two measurements land in ``benchmarks/BENCH_cache.json``:
 * **Strip pre-check, vector vs DSU** — the renormalization connectivity
   pre-check measured standalone over percolated lattices near threshold
   (negative checks dominate there, which is why this is the hot path), the
-  compiled BFS against the scalar union-find reference model, with a
+  compiled BFS against the scalar union-find reference model from
+  ``tests/oracles.py``, with a
   no-regression floor on the speedup.
 """
 
@@ -26,12 +27,13 @@ import time
 from pathlib import Path
 
 import numpy as np
+from oracles import strip_spans_dsu
 
 from snapshots import write_snapshot
 
 from repro.circuits.benchmarks import make_benchmark
 from repro.online.percolation import sample_lattice
-from repro.online.renormalize import strip_spans, strip_spans_dsu
+from repro.online.renormalize import strip_spans
 from repro.pipeline import MemoryCache, Pipeline, PipelineSettings
 
 SNAPSHOT = Path(__file__).parent / "BENCH_cache.json"

@@ -9,12 +9,16 @@ the paper-level guarantee: scale/seed fix the records; the backend and the
 worker count are pure wall-clock knobs.
 """
 
+from unittest.mock import patch
+
 import pytest
+from oracles import find_path_reference
 
 from golden_records import assert_matches_golden
 
 from repro import obs
 from repro.experiments import experiment_names, get_experiment, make_runner
+from repro.online.renormalize import _Carver
 
 #: Worker counts per experiment — deliberately varied so the suite covers
 #: odd widths and more workers than jobs-per-group.
@@ -41,20 +45,16 @@ def test_process_runner_matches_golden(name, once):
     assert_matches_golden(name, result.records)
 
 
-@pytest.mark.parametrize("runner_kind", ["serial", "process", "sharded"])
-def test_scalar_pathfind_matches_golden_on_every_runner(runner_kind):
-    """The scalar path-search oracle reproduces the golden records — which
-    the regeneration bench pins to the default *vector* pathfinder — on
-    every backend.  fig14 is the probe: it exercises renormalize through
-    compile jobs (panel a) and through modular/non-modular FnJobs with the
-    visited-sites proxy as a deterministic field (panel b), so any
-    divergence in paths or accounting shows up byte-for-byte."""
-    kwargs = {"shards": 2} if runner_kind == "sharded" else {"max_workers": 2}
-    if runner_kind == "serial":
-        kwargs = {}
-    runner = make_runner(runner_kind, **kwargs)
-    result = get_experiment("fig14").run("bench", 0, runner, pathfind="scalar")
-    assert result.runner == runner_kind
+def test_reference_path_search_matches_golden():
+    """The deque-BFS reference model of the path search, patched in for the
+    wavefront search, reproduces the golden records.  fig14 is the probe:
+    it exercises renormalize through compile jobs (panel a) and through
+    modular/non-modular FnJobs with the visited-sites proxy as a
+    deterministic field (panel b), so any divergence in paths or accounting
+    shows up byte-for-byte.  The run is serial so the patch reaches every
+    job."""
+    with patch.object(_Carver, "find_path", find_path_reference):
+        result = get_experiment("fig14").run("bench", 0, "serial")
     assert_matches_golden("fig14", result.records)
 
 
@@ -64,8 +64,7 @@ def test_rewrite_off_matches_golden_on_every_runner(runner_kind):
     which the regeneration bench pins to the default ``rewrite="on"`` chain
     — on every backend.  That is the rewrite's oracle contract: on the
     (simplified) golden workloads the contraction finds nothing, so the
-    rewritten and unrewritten pipelines must emit identical bytes, the
-    same way ``--pathfind scalar`` oracles the vector pathfinder.  fig14
+    rewritten and unrewritten pipelines must emit identical bytes.  fig14
     again: compile jobs pick the override up through settings, FnJobs are
     (by design) left untouched."""
     kwargs = {"shards": 2} if runner_kind == "sharded" else {"max_workers": 2}

@@ -6,6 +6,7 @@ renormalization path search, the tableau, and the mapper inner loop.
 """
 
 import numpy as np
+from oracles import components_dsu
 
 from repro.circuits import qaoa
 from repro.graphstate import GraphState, Tableau
@@ -28,9 +29,9 @@ def test_components_vectorized_48(benchmark):
 
 
 def test_components_dsu_48(benchmark):
-    """The pre-vectorization union-find reference, kept for comparison."""
+    """The union-find reference model from ``tests/oracles.py``, for comparison."""
     lattice = sample_lattice(48, 0.75, np.random.default_rng(0))
-    benchmark(lattice.components_dsu)
+    benchmark(components_dsu, lattice)
 
 
 def test_renormalize_48(benchmark):

@@ -1,10 +1,11 @@
 """Perf-trajectory snapshot for the online hot path and the pass pipeline.
 
-Times the two ``components()`` implementations and ``renormalize`` under
-both path-search implementations on size-48 RSLs (the 4-qubit @ p = 0.75
-configuration of Table 1), asserts the vectorized flood fill and the
-wavefront path search each hold their >= 3x advantage over the scalar
-references, and records the throughputs (plus the qaoa4 per-pass seconds,
+Times ``components()`` and ``renormalize`` against their scalar reference
+models from ``tests/oracles.py`` (the union-find ``components_dsu`` and the
+deque-BFS ``find_path_reference`` patched in for the path search) on size-48
+RSLs (the 4-qubit @ p = 0.75 configuration of Table 1), asserts the
+vectorized flood fill and the wavefront path search each hold their >= 3x
+advantage over the scalar references, and records the throughputs (plus the qaoa4 per-pass seconds,
 including ``online-reshape``) to ``benchmarks/BENCH_pipeline.json`` so
 later PRs can track the trajectory.
 """
@@ -14,13 +15,15 @@ from __future__ import annotations
 import platform
 import time
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
+from oracles import components_dsu, find_path_reference
 
 from snapshots import write_snapshot
 
 from repro.online.percolation import sample_lattice
-from repro.online.renormalize import renormalize
+from repro.online.renormalize import _Carver, renormalize
 from repro.pipeline import Pipeline, PipelineSettings
 
 SNAPSHOT = Path(__file__).parent / "BENCH_pipeline.json"
@@ -50,16 +53,17 @@ def test_components_speedup_and_snapshot():
 
     # Warm-up excludes one-time numpy dispatch costs from the measurement.
     lattices[0].components()
-    lattices[0].components_dsu()
+    components_dsu(lattices[0])
 
     vec_ops, vec_ms = _throughput(lambda lat: lat.components(), lattices)
-    dsu_ops, dsu_ms = _throughput(lambda lat: lat.components_dsu(), lattices)
+    dsu_ops, dsu_ms = _throughput(components_dsu, lattices)
     renorm_ops, renorm_ms = _throughput(
         lambda lat: renormalize(lat.copy(), TARGET), lattices
     )
-    scalar_ops, scalar_ms = _throughput(
-        lambda lat: renormalize(lat.copy(), TARGET, pathfind="scalar"), lattices
-    )
+    with patch.object(_Carver, "find_path", find_path_reference):
+        scalar_ops, scalar_ms = _throughput(
+            lambda lat: renormalize(lat.copy(), TARGET), lattices
+        )
 
     # One end-to-end compile for per-pass seconds context.
     from repro.circuits import make_benchmark
@@ -83,7 +87,7 @@ def test_components_speedup_and_snapshot():
             "ops_per_s": renorm_ops,
             "mean_ms": renorm_ms,
         },
-        "renormalize_scalar_pathfind": {
+        "renormalize_reference": {
             "target_size": TARGET,
             "ops_per_s": scalar_ops,
             "mean_ms": scalar_ms,

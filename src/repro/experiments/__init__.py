@@ -32,7 +32,6 @@ from repro.experiments.api import (
     experiment_names,
     get_experiment,
     group_cells,
-    override_pathfind,
     override_rewrite,
     register,
     run_experiment,
@@ -85,7 +84,6 @@ __all__ = [
     "ShardedRunner",
     "UnknownExperimentError",
     "canonical_json",
-    "override_pathfind",
     "override_rewrite",
     "passes_ablation",
     "chunk_size_for",

@@ -8,62 +8,44 @@ the square-lattice bond percolation threshold of 1/2 [40], the lattice has a
 giant long-range-connected component — the raw material the renormalization
 pass carves into a regular grid (Section 5.1).
 
-Connectivity is computed two ways: :meth:`PercolatedLattice.components` runs
-a vectorized numpy label propagation — the primitive behind every spanning
+Connectivity is computed by :meth:`PercolatedLattice.components`, a
+vectorized numpy label propagation — the primitive behind every spanning
 sweep and cluster-fraction estimate (autotuning, Figs. 13(a)/16, the
-threshold tests), which sample thousands of lattices per curve — while
-:meth:`PercolatedLattice.components_dsu` keeps the original per-bond
-union-find as the reference implementation and micro-benchmark baseline.
-Both expose the same query interface.  The renormalization pass's per-strip
-connectivity pre-check rides the same vectorized primitive
-(:func:`label_grid_components`, which handles rectangular strips), with its
-own scalar DSU kept as the oracle in :mod:`repro.online.renormalize`.
+threshold tests), which sample thousands of lattices per curve.  The
+renormalization pass's path search and per-strip connectivity pre-check
+run on :func:`frontier_bfs`, one compiled scipy breadth-first search over
+a fixed-degree :func:`frontier_graph`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from repro import obs
 from repro.errors import RenormalizationError
-from repro.utils.dsu import DisjointSet
 from repro.utils.gridgeom import Coord2D
 from repro.utils.rng import ensure_rng
 
 #: Label value marking dead sites in a component label grid.
 DEAD_LABEL = -1
 
-#: Null-predecessor marker in a :func:`frontier_bfs` predecessor array
-#: (the same sentinel scipy.sparse.csgraph uses, so the two engines are
-#: drop-in interchangeable).
-NO_PREDECESSOR = -9999
 
-#: Lazily resolved compiled BFS engine: ``(csr_array, breadth_first_order)``
-#: from scipy.sparse, or ``False`` once the import is known to fail.
-_FRONTIER_ENGINE: tuple | bool | None = None
+@cache
+def _scipy_bfs() -> tuple:
+    """scipy's ``(csr_array, breadth_first_order)``, imported on first use.
 
-
-def _frontier_engine() -> tuple | None:
-    """The compiled frontier engine (scipy.sparse.csgraph), if importable.
-
-    scipy is an optional accelerator, never a requirement: every caller has
-    a numpy/pure-python fallback with identical answers, and the resolution
-    is cached so the import cost is paid at most once per process.
+    scipy is required, but ``scipy.sparse`` takes about a quarter second to
+    import, so the import waits for the first search instead of riding on
+    ``import repro``.
     """
-    global _FRONTIER_ENGINE
-    if _FRONTIER_ENGINE is None:
-        try:
-            from scipy.sparse import csr_array
-            from scipy.sparse.csgraph import breadth_first_order
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
 
-            _FRONTIER_ENGINE = (csr_array, breadth_first_order)
-        except ImportError:  # pragma: no cover - exercised via monkeypatch
-            _FRONTIER_ENGINE = False
-    return _FRONTIER_ENGINE or None
+    return csr_array, breadth_first_order
 
 
 #: Out-edge slots per grid node in a fixed-degree frontier graph: one per
@@ -118,35 +100,6 @@ def frontier_graph(
     return indptr, indices
 
 
-def _frontier_bfs_python(
-    indptr: np.ndarray, indices: np.ndarray, source: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-python twin of scipy's ``breadth_first_order``.
-
-    Bit-for-bit the same contract: FIFO pops, per-node edges walked in CSR
-    storage order, the first discoverer becoming the predecessor.  Kept as
-    the no-scipy fallback and as the reference the engine-parity test pins
-    scipy's (undocumented but load-bearing) tie-break behaviour against.
-    """
-    node_count = indptr.shape[0] - 1
-    predecessors = np.full(node_count, NO_PREDECESSOR, dtype=np.int32)
-    indptr_list = indptr.tolist()
-    indices_list = indices.tolist()
-    seen = bytearray(node_count)
-    seen[source] = 1
-    order = [source]
-    head = 0
-    while head < len(order):
-        node = order[head]
-        head += 1
-        for neighbor in indices_list[indptr_list[node] : indptr_list[node + 1]]:
-            if not seen[neighbor]:
-                seen[neighbor] = 1
-                predecessors[neighbor] = node
-                order.append(neighbor)
-    return np.array(order, dtype=np.int32), predecessors
-
-
 def frontier_bfs(
     indptr: np.ndarray, indices: np.ndarray, source: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,24 +108,19 @@ def frontier_bfs(
     Pops are FIFO and each popped node's out-edges are walked in CSR
     storage order, the first discoverer of a node becoming its predecessor
     — exactly the semantics of a scalar ``deque`` BFS, which is what lets
-    the vectorized renormalization path search reproduce the scalar
-    oracle's paths and visited-site counts byte-for-byte.  Runs on scipy's
-    compiled ``breadth_first_order`` when available, else on the identical
-    pure-python loop.
+    the vectorized renormalization path search reproduce a deque BFS's
+    paths and visited-site counts byte-for-byte.  Runs on scipy's compiled
+    ``breadth_first_order``.
     """
-    engine = _frontier_engine()
-    if engine is None:
-        order, predecessors = _frontier_bfs_python(indptr, indices, source)
-    else:
-        csr_array, breadth_first_order = engine
-        node_count = indptr.shape[0] - 1
-        graph = csr_array(
-            (np.ones(indices.shape[0], dtype=np.float64), indices, indptr),
-            shape=(node_count, node_count),
-        )
-        order, predecessors = breadth_first_order(
-            graph, source, directed=True, return_predecessors=True
-        )
+    csr_array, breadth_first_order = _scipy_bfs()
+    node_count = indptr.shape[0] - 1
+    graph = csr_array(
+        (np.ones(indices.shape[0], dtype=np.float64), indices, indptr),
+        shape=(node_count, node_count),
+    )
+    order, predecessors = breadth_first_order(
+        graph, source, directed=True, return_predecessors=True
+    )
     if obs.active() is not None:
         # Out-of-band wavefront-size telemetry; the ``active`` gate keeps
         # the untraced hot path to one global read.
@@ -188,25 +136,14 @@ def grid_spans(
     Shapes follow :func:`label_grid_components` (``alive`` is ``(R, C)``,
     ``horizontal`` bonds along axis 1, ``vertical`` along axis 0).  This is
     the relaxed spanning question behind the renormalization strip
-    pre-check.  With scipy present the answer is one compiled BFS over a
-    :func:`frontier_graph` from a virtual source hooked to the
-    first row; otherwise it falls back to the same label propagation that
-    powers ``PercolatedLattice.components()``.
+    pre-check.  The answer is one compiled BFS over a
+    :func:`frontier_graph` from a virtual source hooked to the first row.
     """
     usable_across = horizontal & alive[:, :-1] & alive[:, 1:]
     usable_down = vertical & alive[:-1, :] & alive[1:, :]
     if alive.size == 0 or not alive.any():
         return False
     rows, cols = alive.shape
-    if _frontier_engine() is None:
-        labels = label_grid_components(alive, usable_across, usable_down)
-        first = labels[0]
-        last = labels[-1]
-        first_roots = np.unique(first[first != DEAD_LABEL])
-        last_roots = np.unique(last[last != DEAD_LABEL])
-        if not first_roots.size or not last_roots.size:
-            return False
-        return bool(np.intersect1d(first_roots, last_roots, assume_unique=True).size)
     total = rows * cols
     codes = np.zeros((rows, cols, len(FRONTIER_MOVES)), dtype=np.uint8)
     codes[1:, :, 0] = usable_down
@@ -232,9 +169,7 @@ def label_grid_components(
     (``labels = labels[labels]``) so chains collapse in logarithmically
     many rounds instead of one round per grid diameter.
 
-    This is the shared primitive behind :meth:`PercolatedLattice.
-    label_components` (square lattices) and the renormalization pass's
-    per-strip spanning pre-check (rectangular strips).
+    This is the primitive behind :meth:`PercolatedLattice.label_components`.
     """
     rows, cols = alive.shape
     total = rows * cols
@@ -431,26 +366,10 @@ class PercolatedLattice:
     def components(self) -> GridComponents:
         """Connected components of alive sites under usable bonds.
 
-        The vectorized online hot path; see :meth:`components_dsu` for the
-        original union-find formulation (same partition, same interface).
+        The vectorized online hot path.  The tests pin it to a per-bond
+        union-find reference model (same partition, same interface).
         """
         return GridComponents(self.label_components())
-
-    def components_dsu(self) -> DisjointSet:
-        """Reference DSU over alive sites under usable bonds (pre-vectorization)."""
-        dsu: DisjointSet = DisjointSet()
-        alive_rows, alive_cols = np.nonzero(self.sites)
-        for row, col in zip(alive_rows.tolist(), alive_cols.tolist()):
-            dsu.add((row, col))
-        h_rows, h_cols = np.nonzero(self.horizontal)
-        for row, col in zip(h_rows.tolist(), h_cols.tolist()):
-            if self.sites[row, col] and self.sites[row, col + 1]:
-                dsu.union((row, col), (row, col + 1))
-        v_rows, v_cols = np.nonzero(self.vertical)
-        for row, col in zip(v_rows.tolist(), v_cols.tolist()):
-            if self.sites[row, col] and self.sites[row + 1, col]:
-                dsu.union((row, col), (row + 1, col))
-        return dsu
 
     def largest_cluster_fraction(self) -> float:
         """Size of the largest cluster over total sites (the order parameter)."""

@@ -12,12 +12,10 @@ Two mechanics from the paper:
 * **connectivity check** — a per-strip spanning check answers "is there
   any path at all?" on the relaxed graph that ignores crossing constraints
   (negative checks are the common case near threshold).  It is
-  :func:`strip_spans`, one compiled BFS, with the original scalar
-  union-find kept as a reference model (:func:`strip_spans_dsu`) that the
-  tests compare against.  The scalar path search asks it first; the vector
-  path search asks it only after its own search failed, since a found path
-  already proves the strip spans.  Both charge the same
-  visited sites, so the order never shows in results;
+  :func:`strip_spans`, one compiled BFS.  The path search asks it only
+  after its own search failed, since a found path already proves the strip
+  spans; the visited-site charge is the one a check-first search would
+  make, so the order never shows in results;
 * **tangling prevention** — distinct same-orientation paths must stay
   disjoint, and a path may touch a perpendicular path only by crossing it
   straight through (the crossing site becoming a renormalized node).  The
@@ -30,7 +28,6 @@ Two mechanics from the paper:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +44,6 @@ from repro.utils.gridgeom import Coord2D
 
 #: Marker values for the orientation ownership grid.
 _FREE, _VERTICAL, _HORIZONTAL, _DEAD = 0, 1, 2, 3
-
-#: Path-search implementations accepted by :func:`renormalize` (the numpy
-#: wavefront search is the hot path; the scalar deque BFS is the oracle).
-PATHFINDS = ("vector", "scalar")
 
 
 def _strip_arrays(
@@ -92,67 +85,6 @@ def strip_spans(
     return grid_spans(alive, across, along)
 
 
-def strip_spans_dsu(
-    lattice: PercolatedLattice, vertical: bool, low: int, high: int
-) -> bool:
-    """Scalar reference model for :func:`strip_spans`: the original flat
-    union-find.
-
-    Not called by the compiler.  Kept bit-for-bit equivalent in answer (the
-    property suite cross-checks the two over randomized lattices and patches
-    it into full renormalizations) and as the baseline the micro-bench
-    measures the vectorized path against.
-    """
-    n = lattice.size
-    width = high - low
-    if width <= 0:
-        return False
-    total = n * width
-    parent = list(range(total))
-
-    def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    def flat(a: int, b: int) -> int:
-        # a runs along the spanning axis, b across the strip width.
-        return a * width + (b - low)
-
-    dead = ~lattice.sites
-    for a in range(n):
-        for b in range(low, high):
-            coord = (a, b) if vertical else (b, a)
-            if dead[coord]:
-                continue
-            here = flat(a, b)
-            if a > 0:
-                back = (a - 1, b) if vertical else (b, a - 1)
-                if not dead[back] and lattice.has_bond(coord, back):
-                    ra, rb = find(here), find(flat(a - 1, b))
-                    if ra != rb:
-                        parent[ra] = rb
-            if b > low:
-                side = (a, b - 1) if vertical else (b - 1, a)
-                if not dead[side] and lattice.has_bond(coord, side):
-                    ra, rb = find(here), find(flat(a, b - 1))
-                    if ra != rb:
-                        parent[ra] = rb
-    first_roots = {
-        find(flat(0, b))
-        for b in range(low, high)
-        if not dead[(0, b) if vertical else (b, 0)]
-    }
-    return any(
-        find(flat(n - 1, b)) in first_roots
-        for b in range(low, high)
-        if not dead[(n - 1, b) if vertical else (b, n - 1)]
-    )
-
-
 @dataclass
 class RenormalizationResult:
     """Outcome of one 2D renormalization attempt."""
@@ -183,15 +115,7 @@ _PAD = 2
 class _Carver:
     """Stateful path search over one percolated lattice."""
 
-    def __init__(
-        self,
-        lattice: PercolatedLattice,
-        pathfind: str = "vector",
-    ) -> None:
-        if pathfind not in PATHFINDS:
-            raise RenormalizationError(
-                f"unknown pathfind {pathfind!r}; use one of: {', '.join(PATHFINDS)}"
-            )
+    def __init__(self, lattice: PercolatedLattice) -> None:
         self.lattice = lattice
         n = self.size = lattice.size
         self._owner_padded = np.full((n + 2 * _PAD, n + 2 * _PAD), _DEAD, dtype=np.uint8)
@@ -207,15 +131,8 @@ class _Carver:
         self._bonds_right = np.zeros(self._owner_padded.shape, dtype=np.uint8)
         self._bonds_right[_PAD : _PAD + n, _PAD : _PAD + n - 1][lattice.horizontal] = 0xFF
         self.visited_sites = 0
-        self._pathfind_name = pathfind
 
     # -- generic helpers --------------------------------------------------
-
-    def _bond(self, a: Coord2D, b: Coord2D) -> bool:
-        return self.lattice.has_bond(a, b)
-
-    def _free(self, coord: Coord2D) -> bool:
-        return self.owner[coord] == _FREE
 
     def _strip_range(self, index: int, count: int) -> tuple[int, int]:
         """Half-open coordinate range of strip/band ``index`` of ``count``."""
@@ -245,128 +162,9 @@ class _Carver:
         A vertical path may step on horizontal-path sites only by crossing
         them straight through (and vice versa); it may never travel along
         them, which is the tangling the surround-removal of the paper
-        prevents.  Dispatches to the configured implementation — the numpy
-        wavefront search (``pathfind="vector"``) or the original deque BFS
-        (``"scalar"``); the two produce byte-identical paths, ownership,
-        and visited-site accounting.
-        """
-        if self._pathfind_name == "vector":
-            return self._find_path_vector(vertical, index, count)
-        return self._find_path_scalar(vertical, index, count)
-
-    def _find_path_scalar(
-        self, vertical: bool, index: int, count: int
-    ) -> list[Coord2D] | None:
-        """The original per-cell deque BFS — kept as the parity oracle."""
-        low, high = self._strip_range(index, count)
-        if high - low < 1:
-            raise RenormalizationError("strip is empty; target size too large")
-        if not self._strip_connected(vertical, low, high):
-            return None
-
-        other_owner = _HORIZONTAL if vertical else _VERTICAL
-        n = self.size
-
-        def in_strip(coord: Coord2D) -> bool:
-            lane = coord[1] if vertical else coord[0]
-            return low <= lane < high
-
-        goal_axis = n - 1
-
-        def axis_of(coord: Coord2D) -> int:
-            return coord[0] if vertical else coord[1]
-
-        def in_bounds_cell(coord: Coord2D, size: int) -> bool:
-            return 0 <= coord[0] < size and 0 <= coord[1] < size
-
-        def moves(coord: Coord2D):
-            row, col = coord
-            for drow, dcol in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                step = (row + drow, col + dcol)
-                if not (0 <= step[0] < n and 0 <= step[1] < n):
-                    continue
-                if not in_strip(step):
-                    continue
-                if not self._bond(coord, step):
-                    continue
-                if self._free(step):
-                    yield step, (step,)
-                elif self.owner[step] == other_owner:
-                    if axis_of(step) == goal_axis:
-                        # Crossing right at the far edge: the perpendicular
-                        # path's site serves as the endpoint.
-                        yield step, (step,)
-                        continue
-                    # Cross the perpendicular path straight through.
-                    landing = (step[0] + drow, step[1] + dcol)
-                    if (
-                        0 <= landing[0] < n
-                        and 0 <= landing[1] < n
-                        and in_strip(landing)
-                        and self._free(landing)
-                        and self._bond(step, landing)
-                    ):
-                        yield landing, (step, landing)
-
-        # Start cells on the near edge: free cells start normally; cells
-        # owned by a perpendicular path are entered as crossings (step
-        # straight in, or end immediately on a 1-wide lattice).
-        parent: dict[Coord2D, tuple[Coord2D, tuple[Coord2D, ...]]] = {}
-        queue: deque[Coord2D] = deque()
-        seen: set[Coord2D] = set()
-        for lane in range(low, high):
-            cell = (0, lane) if vertical else (lane, 0)
-            if self._free(cell):
-                seen.add(cell)
-                queue.append(cell)
-            elif self.owner[cell] == other_owner:
-                if goal_axis == 0:
-                    # Degenerate 1-wide lattice: the crossing site alone
-                    # spans it.
-                    return [cell]
-                inward = (1, lane) if vertical else (lane, 1)
-                if (
-                    in_bounds_cell(inward, n)
-                    and in_strip(inward)
-                    and self._free(inward)
-                    and self._bond(cell, inward)
-                    and inward not in seen
-                ):
-                    seen.add(inward)
-                    parent[inward] = (cell, (inward,))
-                    seen.add(cell)
-                    queue.append(inward)
-        goal: Coord2D | None = None
-        while queue:
-            current = queue.popleft()
-            self.visited_sites += 1
-            if axis_of(current) == goal_axis:
-                goal = current
-                break
-            for landing, hops in moves(current):
-                if landing not in seen:
-                    seen.add(landing)
-                    parent[landing] = (current, hops)
-                    queue.append(landing)
-        if goal is None:
-            return None
-
-        # Reconstruct, including crossing sites, root to goal.
-        path: list[Coord2D] = [goal]
-        node = goal
-        while node in parent:
-            previous, hops = parent[node]
-            for hop in reversed(hops[:-1]):
-                path.append(hop)
-            path.append(previous)
-            node = previous
-        path.reverse()
-        return path
-
-    def _find_path_vector(
-        self, vertical: bool, index: int, count: int
-    ) -> list[Coord2D] | None:
-        """Fixed-shape CSR wavefront search — byte-identical to the deque BFS.
+        prevents.  The search is a fixed-shape CSR wavefront, byte-identical
+        in paths, ownership and visited-site accounting to a per-cell deque
+        BFS (the reference model the tests patch in).
 
         The strip plus a ``_PAD`` margin on each lane side is cut from the
         carver's padded planes and flattened, so every shifted mask is a
@@ -384,7 +182,7 @@ class _Carver:
 
         The strip pre-check runs only after a failed search: a constrained
         path is also a relaxed one, so a found path already proves the
-        strip spans.  The visited-site charges are the scalar oracle's.
+        strip spans.  The visited-site charges are the deque BFS's.
         """
         low, high = self._strip_range(index, count)
         if high - low < 1:
@@ -534,7 +332,6 @@ def renormalize(
     lattice: PercolatedLattice,
     target_size: int,
     work_budget: int | None = None,
-    pathfind: str = "vector",
 ) -> RenormalizationResult:
     """Reshape ``lattice`` into a ``target_size x target_size`` coarse lattice.
 
@@ -548,14 +345,11 @@ def renormalize(
     non-modular baseline): when exceeded, the partial result so far is
     returned as a failure.
 
-    ``pathfind`` selects the path search: ``"vector"`` (one compiled
-    wavefront over a fixed-shape CSR template per strip, the default) or
-    ``"scalar"`` (the original deque BFS oracle).  Both agree on every
-    lattice — the property suite asserts full-result identity, with and
-    without the :func:`strip_spans_dsu` reference model patched in for the
-    pre-check — and the visited-site accounting is
-    implementation-independent, so swapping them never perturbs results or
-    the Fig. 14 cost proxy.
+    Each path search is one compiled wavefront over a fixed-shape CSR
+    template per strip.  The visited-site accounting is
+    implementation-independent (the property suite patches in a deque-BFS
+    reference search and a union-find pre-check and asserts full-result
+    identity), so it is a stable Fig. 14 cost proxy.
     """
     if target_size < 1:
         raise RenormalizationError(f"target size must be >= 1, got {target_size}")
@@ -563,7 +357,7 @@ def renormalize(
         raise RenormalizationError(
             f"target {target_size} exceeds lattice size {lattice.size}"
         )
-    carver = _Carver(lattice, pathfind=pathfind)
+    carver = _Carver(lattice)
     vertical_paths: list[list[Coord2D]] = []
     horizontal_paths: list[list[Coord2D]] = []
 

@@ -23,7 +23,7 @@ from repro.hardware.architecture import HardwareConfig
 from repro.hardware.delay import DelayLineBank
 from repro.hardware.fusion import FusionDevice
 from repro.online.fusion_strategy import form_layer
-from repro.online.renormalize import PATHFINDS, renormalize
+from repro.online.renormalize import renormalize
 from repro.utils.rng import ensure_rng
 
 #: Physical qubits fused per requested time-like connection (the "set of
@@ -94,7 +94,6 @@ class OnlineReshaper:
         virtual_size: int,
         rng=None,
         max_rsl: int = 10**6,
-        pathfind: str = "vector",
     ) -> None:
         if virtual_size < 1:
             raise HardwareError(f"virtual size must be >= 1, got {virtual_size}")
@@ -103,16 +102,11 @@ class OnlineReshaper:
                 f"virtual hardware {virtual_size} cannot exceed RSL size "
                 f"{config.rsl_size}"
             )
-        if pathfind not in PATHFINDS:
-            raise HardwareError(
-                f"unknown pathfind {pathfind!r}; use one of: {', '.join(PATHFINDS)}"
-            )
         self.config = config
         self.virtual_size = virtual_size
         self.device = FusionDevice(config.effective_fusion_rate, ensure_rng(rng))
         self.delay_lines = DelayLineBank(config.photon_lifetime)
         self.max_rsl = max_rsl
-        self.pathfind = pathfind
 
     def run(self, demands: list[LayerDemand]) -> ReshapeMetrics:
         """Produce one logical layer per demand; returns the full accounting."""
@@ -143,9 +137,7 @@ class OnlineReshaper:
             self.delay_lines.advance(formation.rsls_used)
 
             metrics.renormalization_attempts += 1
-            result = renormalize(
-                formation.lattice, self.virtual_size, pathfind=self.pathfind
-            )
+            result = renormalize(formation.lattice, self.virtual_size)
             metrics.visited_sites_per_attempt.append(result.visited_sites)
 
             connections_ok = True

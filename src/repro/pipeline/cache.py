@@ -62,8 +62,9 @@ from repro.pipeline.passes import CompilerPass
 #: Bump when the key derivation or payload schema changes: stale entries
 #: from older layouts must read as misses, never as wrong hits.  v2: the
 #: option vocabulary grew the ``rewrite`` knob (pattern-rewrite pass on or
-#: off), which keys rewritten and unrewritten chains apart.
-CACHE_SCHEMA_VERSION = 2
+#: off), which keys rewritten and unrewritten chains apart.  v3: the option
+#: vocabulary lost the path-search selector knob.
+CACHE_SCHEMA_VERSION = 3
 
 
 def circuit_fingerprint(circuit) -> str:
@@ -120,16 +121,22 @@ class ArtifactCache:
     # -- payloads -----------------------------------------------------------
 
     def fetch(self, key: str) -> dict[str, Any] | None:
-        """The stored payload for ``key`` (a fresh deserialized copy), or None."""
+        """The stored payload for ``key`` (a fresh deserialized copy), or None.
+
+        A blob that does not unpickle into a dict (a torn write, bit rot, a
+        foreign file) is dropped and counted as a miss, the same policy as
+        :meth:`DiskCache.verify`, so the caller recomputes it.
+        """
         blob = self._read(key)
+        payload = None if blob is None else _load_payload(blob)
+        if blob is not None and payload is None:
+            self._drop(key)
         with self._lock:
-            if blob is None:
+            if payload is None:
                 self.misses += 1
             else:
                 self.hits += 1
-        if blob is None:
-            return None
-        return pickle.loads(blob)
+        return payload
 
     def store(self, key: str, payload: dict[str, Any]) -> None:
         """Persist ``payload`` under ``key`` (last write wins; same content)."""
@@ -153,6 +160,9 @@ class ArtifactCache:
         raise NotImplementedError
 
     def _write(self, key: str, blob: bytes) -> None:
+        raise NotImplementedError
+
+    def _drop(self, key: str) -> None:
         raise NotImplementedError
 
     # -- pickling (process pools) -------------------------------------------
@@ -192,6 +202,19 @@ class MemoryCache(ArtifactCache):
     def _write(self, key: str, blob: bytes) -> None:
         with self._lock:
             self._store[key] = blob
+
+    def _drop(self, key: str) -> None:
+        with self._lock:
+            self._store.pop(key, None)
+
+
+def _load_payload(blob: bytes) -> dict[str, Any] | None:
+    """``blob`` unpickled, or None unless it is a readable dict payload."""
+    try:
+        payload = pickle.loads(blob)
+    except Exception:
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def _entry_path(root: Path, key: str) -> Path:
@@ -314,6 +337,9 @@ class DiskCache(ArtifactCache):
             if over_budget:
                 self._evict_to_budget()
 
+    def _drop(self, key: str) -> None:
+        self._path(key).unlink(missing_ok=True)
+
     # -- size budgeting -----------------------------------------------------
 
     #: Eviction low-water mark: scans drop the store to this fraction of
@@ -399,11 +425,7 @@ class DiskCache(ArtifactCache):
             except OSError:
                 continue  # raced with a concurrent eviction
             checked += 1
-            try:
-                payload = pickle.loads(blob)
-                if not isinstance(payload, dict):
-                    raise ValueError("entry payload is not a dict")
-            except Exception:
+            if _load_payload(blob) is None:
                 path.unlink(missing_ok=True)
                 dropped += 1
         if self.max_bytes is not None:

@@ -432,6 +432,29 @@ class TestMaintenance:
         kinds = [event["kind"] for event in tele.events.events]
         assert "cache_verified" in kinds
 
+    def test_torn_entries_read_as_misses_during_a_run(self, tmp_path):
+        """A torn or foreign entry met mid-run must not crash the compile:
+        fetch drops it, counts a miss, and the pass recomputes."""
+        reference = Pipeline(SETTINGS).compile(CIRCUIT, seed=0)
+        Pipeline(SETTINGS, cache=DiskCache(tmp_path)).compile(CIRCUIT, seed=0)
+        entries = sorted(tmp_path.glob("*/*.pkl"))
+        assert len(entries) == 4
+        for path in entries[:-1]:
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        entries[-1].write_bytes(pickle.dumps([1, 2, 3]))  # valid pickle, not a dict
+        cache = DiskCache(tmp_path)
+        result = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        assert _metrics(result) == _metrics(reference)
+        assert result.metrics["cache_misses"] == 4
+        assert (cache.hits, cache.misses) == (0, 4)
+        assert cache.verify() == 0  # every bad entry was replaced by a good one
+
+    def test_memory_cache_drops_unreadable_blob(self):
+        cache = MemoryCache()
+        cache._write("k", b"\x80\x05 not a pickle")
+        assert cache.fetch("k") is None
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 0)
+
     def test_verify_clean_store_is_a_no_op(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.store("00k", {"artifacts": {}, "metrics": {}})

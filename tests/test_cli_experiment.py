@@ -176,51 +176,25 @@ class TestStreamingFlags:
 
 
 class TestPathfindFlag:
+    """``--pathfind`` is gone: the product has one path search, and the
+    deque-BFS reference model lives in the tests.  The old flag is a usage
+    error, never silently ignored."""
+
     def test_invalid_pathfind_on_experiment_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["experiment", "--name", "fig14", "--pathfind", "bogus"])
+            main(["experiment", "--name", "fig14", "--pathfind", "scalar"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--pathfind" in err
-        assert "vector" in err and "scalar" in err
+        assert "unrecognized arguments" in err and "--pathfind" in err
 
     def test_invalid_pathfind_on_compile_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
                 ["compile", "--benchmark", "qaoa", "--qubits", "4",
-                 "--pathfind", "bogus"]
+                 "--pathfind", "scalar"]
             )
         assert excinfo.value.code == 2
         assert "--pathfind" in capsys.readouterr().err
-
-    def test_scalar_pathfind_records_identical_to_vector(self, capsys):
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--pathfind", "scalar"]
-        )
-        scalar = json.loads(capsys.readouterr().out)
-        assert code == 0
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--pathfind", "vector"]
-        )
-        vector = json.loads(capsys.readouterr().out)
-        assert code == 0
-        # The deterministic record portion (including the visited-sites cost
-        # proxy) is byte-identical; only wall-clock timings may differ.
-        assert [entry["job"] for entry in scalar["records"]] == [
-            entry["job"] for entry in vector["records"]
-        ]
-        assert [entry["fields"] for entry in scalar["records"]] == [
-            entry["fields"] for entry in vector["records"]
-        ]
-
-    def test_compile_scalar_pathfind_matches_vector(self, capsys):
-        base = ["compile", "--benchmark", "qaoa", "--qubits", "4", "--json"]
-        assert main(base + ["--pathfind", "scalar"]) == 0
-        scalar = json.loads(capsys.readouterr().out)
-        assert main(base + ["--pathfind", "vector"]) == 0
-        vector = json.loads(capsys.readouterr().out)
-        for field in ("rsl_count", "fusion_count", "logical_layers", "pl_ratio"):
-            assert scalar[field] == vector[field], field
 
 
 class TestShardedFlags:

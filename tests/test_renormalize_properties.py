@@ -2,18 +2,22 @@
 strip pre-check against its scalar DSU oracle, and the vectorized wavefront
 path search against the scalar deque-BFS oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from oracles import find_path_reference, frontier_bfs_reference, strip_spans_dsu
 
+import repro
 from repro.online import percolation, renormalize, sample_lattice
-from repro.online.renormalize import (
-    PATHFINDS,
-    _intersections,
-    strip_spans,
-    strip_spans_dsu,
-)
+from repro.online.renormalize import _Carver, _intersections, strip_spans
+
+#: The product path search and its deque-BFS reference model.
+PATH_SEARCHES = (_Carver.find_path, find_path_reference)
 
 
 @st.composite
@@ -200,27 +204,25 @@ def pathfind_cases(draw):
 @given(pathfind_cases())
 @settings(max_examples=100, deadline=None)
 def test_pathfind_precheck_sweep_full_result_identity(case):
-    """Every pathfind x pre-check combination must agree on *everything*:
+    """Every path-search x pre-check combination must agree on *everything*:
     success, paths, node grid, visited-site count, and where a work budget
-    truncates the carve.  The pre-check varies by patching the DSU
-    reference model in for :func:`strip_spans`."""
+    truncates the carve.  Each combination patches the reference models in
+    for :meth:`_Carver.find_path` and :func:`strip_spans`."""
     size, target, bond_probability, loss, budget, seed = case
     lattice = _lattice_with_loss(size, bond_probability, loss, seed)
     reference = None
-    for pathfind in PATHFINDS:
+    for search in PATH_SEARCHES:
         for precheck in (strip_spans, strip_spans_dsu):
-            with patch("repro.online.renormalize.strip_spans", precheck):
-                result = renormalize(
-                    lattice.copy(),
-                    target,
-                    work_budget=budget,
-                    pathfind=pathfind,
-                )
+            with (
+                patch.object(_Carver, "find_path", search),
+                patch("repro.online.renormalize.strip_spans", precheck),
+            ):
+                result = renormalize(lattice.copy(), target, work_budget=budget)
             if reference is None:
                 reference = _result_tuple(result)
             else:
                 assert _result_tuple(result) == reference, (
-                    pathfind,
+                    search.__name__,
                     precheck.__name__,
                 )
 
@@ -236,10 +238,10 @@ def test_far_edge_crossing_ends_on_perpendicular_path():
     vertical = np.zeros((2, 3), dtype=bool)
     vertical[:, 2] = True
     lattice = percolation.PercolatedLattice(sites, horizontal, vertical)
-    results = [
-        _result_tuple(renormalize(lattice.copy(), 1, pathfind=pathfind))
-        for pathfind in PATHFINDS
-    ]
+    results = []
+    for search in PATH_SEARCHES:
+        with patch.object(_Carver, "find_path", search):
+            results.append(_result_tuple(renormalize(lattice.copy(), 1)))
     assert results[0] == results[1]
     result = renormalize(lattice.copy(), 1)
     assert result.success
@@ -250,18 +252,30 @@ def test_far_edge_crossing_ends_on_perpendicular_path():
 @given(pathfind_cases())
 @settings(max_examples=20, deadline=None)
 def test_pure_python_frontier_engine_is_identical(case):
-    """With scipy unavailable, the pure-python frontier fallback must
-    reproduce the compiled engine's results byte-for-byte."""
+    """The pure-python reference BFS, patched in for scipy's in both the path
+    search and the strip pre-check, must reproduce the compiled engine's
+    results byte-for-byte."""
     size, target, bond_probability, loss, budget, seed = case
     lattice = _lattice_with_loss(size, bond_probability, loss, seed)
     compiled = renormalize(lattice.copy(), target, work_budget=budget)
-    original = percolation._FRONTIER_ENGINE
-    percolation._FRONTIER_ENGINE = False  # simulate a missing scipy
-    try:
-        fallback = renormalize(lattice.copy(), target, work_budget=budget)
-    finally:
-        percolation._FRONTIER_ENGINE = original
-    assert _result_tuple(fallback) == _result_tuple(compiled)
+    with (
+        patch("repro.online.renormalize.frontier_bfs", frontier_bfs_reference),
+        patch("repro.online.percolation.frontier_bfs", frontier_bfs_reference),
+    ):
+        reference = renormalize(lattice.copy(), target, work_budget=budget)
+    assert _result_tuple(reference) == _result_tuple(compiled)
+
+
+def test_scipy_stays_out_of_import_time():
+    """scipy is required but imported on the first search: importing the
+    experiments package must not pay for ``scipy.sparse``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, repro.experiments; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def frontier_adjacency(sources, targets, node_count):
@@ -283,8 +297,8 @@ def frontier_adjacency(sources, targets, node_count):
 @given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.floats(0.0, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
-    """scipy's breadth_first_order and the pure-python twin must emit the
-    same pop order and the same first-discoverer predecessors — the
+    """scipy's breadth_first_order and the pure-python reference must emit
+    the same pop order and the same first-discoverer predecessors — the
     tie-break contract the path search's byte-identity rests on."""
     rng = np.random.default_rng(seed)
     edge_count = int(degree * nodes)
@@ -292,9 +306,7 @@ def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
     targets = rng.integers(0, nodes, edge_count)
     indptr, indices = frontier_adjacency(sources, targets, nodes)
     source = int(rng.integers(0, nodes))
-    python_order, python_pred = percolation._frontier_bfs_python(
-        indptr, indices, source
-    )
+    python_order, python_pred = frontier_bfs_reference(indptr, indices, source)
     order, pred = percolation.frontier_bfs(indptr, indices, source)
     assert np.array_equal(order, python_order)
     assert np.array_equal(pred, python_pred)
@@ -311,7 +323,7 @@ def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
 def test_template_self_loops_match_compacted_csr(seed, rows, cols, density, by_rows):
     """A fixed-degree template graph whose unused slots are self-loops must
     traverse exactly like the compacted CSR of its live edges: same pop
-    order, same predecessors, on both frontier engines.  This is the
+    order, same predecessors, on scipy and on the reference BFS.  This is the
     contract the path search's per-query slot codes rely on."""
     rng = np.random.default_rng(seed)
     total = rows * cols
@@ -340,14 +352,9 @@ def test_template_self_loops_match_compacted_csr(seed, rows, cols, density, by_r
     compact_ptr, compact_idx = frontier_adjacency(
         owners[live], indices[live], total + 1
     )
-    for engine in (None, False):
-        original = percolation._FRONTIER_ENGINE
-        percolation._FRONTIER_ENGINE = engine  # None: scipy; False: pure python
-        try:
-            template_run = percolation.frontier_bfs(indptr, indices, total)
-            compact_run = percolation.frontier_bfs(compact_ptr, compact_idx, total)
-        finally:
-            percolation._FRONTIER_ENGINE = original
+    for bfs in (percolation.frontier_bfs, frontier_bfs_reference):
+        template_run = bfs(indptr, indices, total)
+        compact_run = bfs(compact_ptr, compact_idx, total)
         assert np.array_equal(template_run[0], compact_run[0])
         assert np.array_equal(template_run[1], compact_run[1])
 

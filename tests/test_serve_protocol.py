@@ -106,7 +106,7 @@ class TestValidateRequest:
             {"op": "compile", "benchmark": "qaoa", "qubits": 4}
         )
         assert request["rate"] == 0.75
-        assert request["pathfind"] == "vector"
+        assert "pathfind" not in request
 
     def test_unknown_op_and_fields_rejected(self):
         with pytest.raises(ProtocolError, match="unknown op"):
@@ -115,6 +115,20 @@ class TestValidateRequest:
             validate_request(
                 {"op": "experiment", "name": "fig15", "bogus": 1}
             )
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "experiment", "name": "fig15", "pathfind": "scalar"},
+            {"op": "compile", "benchmark": "qaoa", "qubits": 4, "pathfind": "vector"},
+        ],
+    )
+    def test_v3_rejects_removed_pathfind_field(self, request_):
+        """Protocol v3 dropped the path-search selector: a request that
+        still sends it is rejected as carrying an unknown field."""
+        assert PROTOCOL_VERSION == 3
+        with pytest.raises(ProtocolError, match="unknown fields.*pathfind"):
+            validate_request({**request_, "v": PROTOCOL_VERSION})
 
     def test_type_errors_are_loud(self):
         with pytest.raises(ProtocolError, match="expected"):
