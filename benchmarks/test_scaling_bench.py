@@ -12,7 +12,7 @@ pool registry exists to provide — and the snapshot in
 Two gates:
 
 * **Determinism**: canonical records are byte-identical across
-  serial/process/sharded with pools warm, chunked, and reused.
+  serial/process with pools warm, chunked, and reused.
 * **The floor**: on a multi-core machine the process runner must be at
   least as fast as serial (speedup >= 1.0) — parallelism that subtracts
   performance is the bug this PR fixed.  On a single-core machine
@@ -53,7 +53,6 @@ FLOOR_SINGLE_CORE = 0.85
 BACKENDS = (
     ("serial", {}),
     ("process", {"max_workers": WORKERS}),
-    ("sharded", {"shards": WORKERS}),
 )
 
 

@@ -15,8 +15,8 @@ Usage (also via ``python -m repro.cli``)::
     python -m repro.cli experiment --name fig16 --out fig16.csv
     python -m repro.cli experiment --name table2 --cache memory --json
     python -m repro.cli experiment --name table2 --cache disk --cache-dir .cache
-    python -m repro.cli experiment --name table2 --runner sharded --shards 4 \\
-        --cache-dir .cache --stream --out table2.jsonl
+    python -m repro.cli experiment --name table2 --runner process --workers 2 \\
+        --cache disk --cache-dir .cache --stream --out table2.jsonl
     python -m repro.cli experiment --name fig14 --trace-out trace.jsonl \\
         --events-out events.jsonl
     python -m repro.cli telemetry summarize --trace trace.jsonl --events events.jsonl
@@ -136,7 +136,7 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--events-out",
         metavar="FILE",
-        help="stream lifecycle events (job/shard/cache) to FILE as JSON "
+        help="stream lifecycle events (run/job/cache) to FILE as JSON "
         "Lines, flushed per event",
     )
 
@@ -384,12 +384,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             args.runner,
             max_workers=args.workers,
             cache=cache,
-            shards=args.shards,
             chunk_size=args.chunk_size,
         )
     except ReproError as exc:
-        # A bad runner/cache/shard combination (memory cache on the sharded
-        # runner, --shards with a non-sharded runner, ...) is a usage error.
+        # A bad runner option (--workers 0, --chunk-size on the serial
+        # runner, ...) is a usage error.
         print(f"experiment: {exc}", file=sys.stderr)
         return 2
     if cache is not None and cache.name == "memory" and args.runner == "process":
@@ -423,9 +422,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             )
     payload = result.to_json_obj()
     if cache is not None:
-        # The cache object's own session totals: for the sharded runner
-        # these now include every shard's folded counts, so they reconcile
-        # with the record-derived "cache" block above.
+        # The cache object's own session totals: on the process runner
+        # they include every chunk's folded counts, so they reconcile with
+        # the record-derived "cache" block above.
         payload["cache_session"] = cache.stats()
     if args.out and not args.stream:
         if args.out.lower().endswith(".csv"):
@@ -517,7 +516,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
     # The telemetry session wraps the whole server lifetime, so the trace
-    # written at exit covers startup sweep, every request, and the drain.
+    # written at exit covers startup verification, every request, and the
+    # drain.
     with _telemetry_session(args):
         try:
             return asyncio.run(_run())
@@ -537,7 +537,6 @@ def _submit_request(args: argparse.Namespace) -> dict:
             "seed": args.seed,
             "runner": args.runner,
             "workers": args.workers,
-            "shards": args.shards,
             "rewrite": args.rewrite,
         }
     if args.benchmark:
@@ -722,15 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for any N)",
     )
     experiment_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count for --runner sharded: jobs are partitioned by a "
-        "stable hash of the job key and each shard runs in its own "
-        "subprocess (records are identical for any N)",
-    )
-    experiment_parser.add_argument(
         "--stream",
         action="store_true",
         help="yield records as they complete instead of waiting for the "
@@ -760,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     summarize_parser = telemetry_commands.add_parser(
         "summarize",
-        help="per-pass wall/CPU time, per-shard jobs, and cache hit rate "
+        help="per-pass wall/CPU time, per-run jobs, and cache hit rate "
         "from a JSONL trace",
     )
     summarize_parser.add_argument(
@@ -848,7 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="server-side execution backend for experiment requests",
     )
     submit_parser.add_argument("--workers", type=int, default=None, metavar="N")
-    submit_parser.add_argument("--shards", type=int, default=None, metavar="N")
     submit_parser.add_argument(
         "--rewrite", default=None, choices=list(REWRITES)
     )

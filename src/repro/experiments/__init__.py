@@ -48,13 +48,8 @@ from repro.experiments.runners import (
     ProcessRunner,
     Runner,
     SerialRunner,
-    ShardedRunner,
-    ShardOutcome,
-    ShardTask,
     make_runner,
     run_chunk,
-    run_shard,
-    shard_for,
 )
 from repro.experiments.streams import (
     CsvStreamWriter,
@@ -79,9 +74,6 @@ __all__ = [
     "Runner",
     "SCALES",
     "SerialRunner",
-    "ShardOutcome",
-    "ShardTask",
-    "ShardedRunner",
     "UnknownExperimentError",
     "canonical_json",
     "override_rewrite",
@@ -102,8 +94,6 @@ __all__ = [
     "register",
     "run_chunk",
     "run_experiment",
-    "run_shard",
-    "shard_for",
     "shutdown_pools",
     "table2",
     "table3",

@@ -5,11 +5,10 @@ declaratively: it *builds jobs* (units of work) and *reduces records*
 (structured results) — it never executes anything itself.  Execution belongs
 to a pluggable runner (:mod:`repro.experiments.runners`), which executes
 compile and function jobs through one execution core, so the same job list
-can run serially, across a process pool, or on a sharded subprocess fleet
-with bit-identical records.  Execution also *streams*:
-:meth:`Experiment.iter_records` yields records in canonical order as jobs
-finish, and :meth:`ExperimentResult.from_stream` folds a drained stream
-into the same result a blocking run produces.
+can run serially or across a process pool with bit-identical records.
+Execution also *streams*: :meth:`Experiment.iter_records` yields records in
+canonical order as jobs finish, and :meth:`ExperimentResult.from_stream`
+folds a drained stream into the same result a blocking run produces.
 
 The contract that makes backends interchangeable is *self-seeding*: every
 job derives its own random streams from ``(experiment seed, job labels)``
@@ -78,7 +77,7 @@ class CompileJob(Job):
 
     Runners group compile jobs by ``(settings, baseline)`` and compile
     every job of a group on that group's one (cache-wrapped) pipeline,
-    whichever backend (serial/process/sharded) runs it.
+    whichever backend (serial/process) runs it.
     """
 
     family: str
@@ -231,10 +230,10 @@ class ExperimentResult:
         byte-identical to a blocking ``run`` of the same experiment.
 
         ``summary`` round-trips a serve summary frame: its
-        ``cache_session`` and ``metrics`` payloads attach to the result
-        (mirroring the ``ShardOutcome`` fold), so a remote result reports
-        the producing session's cache/telemetry view alongside the
-        record-derived :meth:`cache_stats` it reconstructs exactly.
+        ``cache_session`` and ``metrics`` payloads attach to the result, so
+        a remote result reports the producing session's cache/telemetry
+        view alongside the record-derived :meth:`cache_stats` it
+        reconstructs exactly.
         """
         result = experiment.reduce(list(records))
         result.runner = runner if isinstance(runner, str) else runner.name
@@ -378,7 +377,7 @@ class Experiment(ABC):
         """Stream records in canonical job order as execution completes.
 
         The generator half of :meth:`run`: a long sweep yields each record
-        the moment its job (or, on the sharded runner, its shard) finishes
+        the moment its job (or, on the process runner, its chunk) finishes
         instead of materializing the whole list first, so a service or an
         incremental writer can observe partial results mid-sweep.  Record
         content and order are exactly ``run``'s — finish the stream with

@@ -5,7 +5,7 @@ Every experiment runs at one of two scales:
 * ``"bench"`` — small parameters for CI / pytest-benchmark (minutes end to
   end).  Trends survive; absolute values shrink.
 * ``"paper"`` — the paper's own parameters (Table 1, Figs. 12-16 captions).
-  Hours of CPU, as the artifact appendix warns.
+  Minutes of CPU (see EXPERIMENTS.md "Scales and determinism").
 
 EXPERIMENTS.md records which scale produced the checked-in numbers.  The
 sweep/averaging helpers that used to live here are gone: sweeps are now job

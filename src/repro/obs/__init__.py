@@ -10,7 +10,7 @@ backend:
 * **metrics** (:mod:`repro.obs.metrics`) — counters/gauges/histograms
   (cache hits, evictions, BFS wavefront sizes, reorder-buffer depth);
 * **events** (:mod:`repro.obs.events`) — a per-event-flush JSONL lifecycle
-  stream (job started/finished, cache hit, shard merged).
+  stream (run and job started/finished, cache hit and miss).
 
 Telemetry is strictly **out-of-band**: nothing recorded here may feed a
 computation, so golden records are byte-identical with telemetry on or
@@ -21,9 +21,8 @@ no session active, every module-level helper short-circuits on one global
 Cross-process contract: a subprocess cannot see the parent's session, so
 its telemetry rides the same pickle channels its results already use —
 compilation spans attach to ``CompilationResult``/``ExperimentRecord``
-(adopted by the consuming runner), and sharded workers return a metrics
-snapshot plus their event buffer for the coordinator to merge (see
-:class:`~repro.experiments.runners.ShardOutcome`).
+(adopted by the consuming runner), and the cache hit/miss counts that
+feed the ``cache.*`` counters ride the records' ``metrics``.
 
 Usage::
 
@@ -94,39 +93,28 @@ class Telemetry:
 
     # -- adoption: telemetry that crossed a process boundary ----------------
 
-    def adopt_record(
-        self,
-        record: Any,
-        fold_metrics: bool = True,
-        emit_event: bool = True,
-    ) -> None:
+    def adopt_record(self, record: Any) -> None:
         """Fold one experiment record's out-of-band telemetry in.
 
         Spans attached to the record are adopted with the job key stamped
         on their roots; cache hit/miss counts from ``record.metrics`` (the
         provenance channel that already survives every runner boundary)
         feed the ``cache.*`` counters — the **single** source of those
-        counters, so serial, process, and sharded runs all
-        reconcile identically.  ``fold_metrics=False`` is for coordinators
-        whose subprocesses already folded (the sharded runner merges the
-        child registry snapshot instead — folding here too would double
-        count).
+        counters, so serial and process runs reconcile identically.
         """
         spans = getattr(record, "spans", ()) or ()
         if spans:
             self.tracer.adopt(spans, root_attrs={"job": record.job})
-        if fold_metrics:
-            metrics = getattr(record, "metrics", None) or {}
-            hits = metrics.get("cache_hits", 0)
-            misses = metrics.get("cache_misses", 0)
-            if hits:
-                self.metrics.inc("cache.hits", hits)
-            if misses:
-                self.metrics.inc("cache.misses", misses)
-        if emit_event:
-            self.events.emit(
-                "job_finished", job=record.job, experiment=record.experiment
-            )
+        metrics = getattr(record, "metrics", None) or {}
+        hits = metrics.get("cache_hits", 0)
+        misses = metrics.get("cache_misses", 0)
+        if hits:
+            self.metrics.inc("cache.hits", hits)
+        if misses:
+            self.metrics.inc("cache.misses", misses)
+        self.events.emit(
+            "job_finished", job=record.job, experiment=record.experiment
+        )
 
     def adopt_compile(self, result: Any, circuit: str | None = None) -> None:
         """Fold one raw compilation outcome in (the CLI compile path)."""

@@ -1,13 +1,11 @@
 """Lifecycle event stream: an in-memory log with a per-event-flush sink.
 
 Events are the narrative half of telemetry — job started/finished, cache
-hit, shard merged — one flat JSON object per event with an epoch ``ts``
-and a ``kind``.  The log always buffers in memory (a subprocess returns
-its buffer through the same pickle channel its records travel; the parent
-re-emits with a shard tag); when a ``path`` is given, every event is also
-written and flushed immediately, following the per-record-flush discipline
-of :mod:`repro.experiments.streams` — the file is tail-able mid-run and
-survives a crash with everything emitted so far.
+hit and miss — one flat JSON object per event with an epoch ``ts`` and a
+``kind``.  The log always buffers in memory; when a ``path`` is given,
+every event is also written and flushed immediately, following the
+per-record-flush discipline of :mod:`repro.experiments.streams` — the file
+is tail-able mid-run and survives a crash with everything emitted so far.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Trace-file analysis: per-pass / per-shard breakdowns, cache hit rates.
+"""Trace-file analysis: per-pass / per-run breakdowns, cache hit rates.
 
 The reading half of the telemetry layer: :func:`load_trace` parses a JSONL
 trace written by :meth:`~repro.obs.Telemetry.write_trace`,
 :func:`summarize_trace` reduces it to a plain dict (per-pass wall/CPU
-seconds, per-shard job counts, compile counts, cache hit rate from the
+seconds, per-run job counts, compile counts, cache hit rate from the
 embedded metrics snapshot), and :func:`render_summary` turns that into the
 fixed-width tables ``repro telemetry summarize`` prints.  The numbers
 reconcile by construction: pass rows sum the very spans
@@ -77,14 +77,12 @@ def summarize_trace(
     Returns a JSON-ready dict::
 
         {"passes":  {name: {"calls", "wall_seconds", "cpu_seconds"}},
-         "shards":  {index: {"jobs", "wall_seconds"}},
          "runs":    {experiment: {"jobs", "wall_seconds"}},
          "compiles": N,
          "cache":   {"hits", "misses", "hit_rate", "evictions"},
          "events":  {kind: count}}     # only when events are given
     """
     passes: dict[str, dict[str, float]] = {}
-    shards: dict[int, dict[str, float]] = {}
     runs: dict[str, dict[str, float]] = {}
     compiles = 0
     for record in trace["spans"]:
@@ -97,13 +95,6 @@ def summarize_trace(
             row["calls"] += 1
             row["wall_seconds"] += float(record.get("dur") or 0.0)
             row["cpu_seconds"] += float(record.get("cpu") or 0.0)
-        elif name.startswith("shard:"):
-            attrs = record.get("attrs", {})
-            row = shards.setdefault(
-                int(name[len("shard:"):]), {"jobs": 0, "wall_seconds": 0.0}
-            )
-            row["jobs"] += int(attrs.get("jobs", 0))
-            row["wall_seconds"] += float(record.get("dur") or 0.0)
         elif name.startswith("run:"):
             attrs = record.get("attrs", {})
             row = runs.setdefault(
@@ -120,7 +111,6 @@ def summarize_trace(
     cache["evictions"] = int(counters.get("cache.evictions", 0))
     summary: dict[str, Any] = {
         "passes": passes,
-        "shards": {shard: shards[shard] for shard in sorted(shards)},
         "runs": runs,
         "compiles": compiles,
         "cache": cache,
@@ -147,21 +137,14 @@ def render_summary(summary: dict[str, Any]) -> str:
                 f"{name:<{width}}  {row['calls']:>6d}  "
                 f"{row['wall_seconds']:>10.4f}  {row['cpu_seconds']:>10.4f}"
             )
-    for title, key, count_label in (
-        ("per-shard", "shards", "jobs"),
-        ("per-run", "runs", "jobs"),
-    ):
-        table = summary.get(key, {})
-        if not table:
-            continue
-        labels = [str(label) for label in table]
-        width = max(len(title), *(len(label) for label in labels))
-        lines.append(f"== {title} ==")
-        lines.append(f"{'':<{width}}  {count_label:>6}  {'wall s':>10}")
-        for label, row in table.items():
+    runs = summary.get("runs", {})
+    if runs:
+        width = max(len("per-run"), *(len(name) for name in runs))
+        lines.append("== per-run ==")
+        lines.append(f"{'':<{width}}  {'jobs':>6}  {'wall s':>10}")
+        for name, row in runs.items():
             lines.append(
-                f"{str(label):<{width}}  {row['jobs']:>6d}  "
-                f"{row['wall_seconds']:>10.4f}"
+                f"{name:<{width}}  {row['jobs']:>6d}  {row['wall_seconds']:>10.4f}"
             )
     cache = summary.get("cache", {})
     lines.append("== cache ==")

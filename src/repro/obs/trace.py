@@ -172,7 +172,7 @@ class Tracer:
 
         ``root_attrs`` is merged into the attrs of adopted *root* spans
         (``parent is None``) — the adoption point knows provenance (which
-        job, which shard) the recording point did not.  Returns the number
+        job) the recording point did not.  Returns the number
         of spans adopted.
         """
         adopted = []

@@ -11,7 +11,6 @@ from repro.pipeline.cache import (
     CachePass,
     DiskCache,
     MemoryCache,
-    ShardDiskCache,
     cache_summary,
     cached_passes,
     circuit_fingerprint,
@@ -53,7 +52,6 @@ __all__ = [
     "PassTiming",
     "Pipeline",
     "PipelineSettings",
-    "ShardDiskCache",
     "TranslatePass",
     "baseline_passes",
     "cache_summary",

@@ -49,7 +49,9 @@ from repro.experiments.api import ExperimentRecord
 #: fail the hello handshake, never misparse a stream.  v2: experiment and
 #: compile requests grew the ``rewrite`` field (pattern-rewrite pass gate).
 #: v3: experiment and compile requests lost the path-search selector field.
-PROTOCOL_VERSION = 3
+#: v4: experiment requests lost the partition-count field of the retired
+#: partitioned runner; a v3 request that still carries it fails as unknown.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame line (requests are small; record frames are
 #: bounded by record size).  The server passes this as the asyncio stream
@@ -225,7 +227,6 @@ _REQUEST_SPEC: dict[str, tuple[dict, dict]] = {
             "seed": ((int,), 0),
             "runner": ((str,), "serial"),
             "workers": ((int, _NoneType), None),
-            "shards": ((int, _NoneType), None),
             "rewrite": ((str, _NoneType), None),
         },
     ),

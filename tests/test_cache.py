@@ -334,82 +334,42 @@ class TestEviction:
         assert cache.fetch("key") is not None
 
 
-class TestShardExchange:
-    """ShardDiskCache read-through/write-local views and merge_from."""
+class TestPooledStore:
+    """One disk store shared by process-pool workers."""
 
-    def test_reads_fall_through_writes_stay_local(self, tmp_path):
-        from repro.pipeline import ShardDiskCache
+    @staticmethod
+    def _jobs():
+        from repro.experiments import CompileJob
 
-        base = DiskCache(tmp_path / "base")
-        base.store("warm", {"artifacts": {"x": 1}, "metrics": {}})
-        shard = ShardDiskCache(tmp_path / "delta", base=base.directory)
-        assert shard.fetch("warm") == {"artifacts": {"x": 1}, "metrics": {}}
-        shard.store("fresh", {"artifacts": {"y": 2}, "metrics": {}})
-        assert len(base) == 1  # the base never sees shard writes...
-        assert base.fetch("fresh") is None
-        assert shard.fetch("fresh") is not None  # ...but the shard sees both
-
-    def test_merge_from_folds_delta_and_removes_it(self, tmp_path):
-        from repro.pipeline import ShardDiskCache
-
-        base = DiskCache(tmp_path / "base")
-        shard = ShardDiskCache(tmp_path / "delta", base=base.directory)
-        shard.store("a", {"artifacts": {}, "metrics": {}})
-        shard.store("b", {"artifacts": {}, "metrics": {}})
-        assert base.merge_from(shard.directory) == 2
-        assert base.fetch("a") is not None and base.fetch("b") is not None
-        assert not shard.directory.exists()
-
-    def test_merge_applies_the_budget(self, tmp_path):
-        base = DiskCache(tmp_path / "base", max_bytes=500)
-        delta = DiskCache(tmp_path / "delta")
-        for index in range(10):
-            delta.store(
-                f"k{index}", {"artifacts": {"x": b"a" * 200}, "metrics": {}}
+        return [
+            CompileJob(
+                key=f"qaoa4/{seed}", meta={}, family="qaoa", num_qubits=4,
+                settings=SETTINGS, seed=seed,
             )
-        base.merge_from(delta.directory)
-        assert base.total_bytes() <= 500
+            for seed in range(4)
+        ]
 
-    def test_merge_skips_oversized_entries_without_thrashing(self, tmp_path):
-        base = DiskCache(tmp_path / "base", max_bytes=2000)
-        self._warm = ["w1", "w2", "w3"]
-        for name in self._warm:
-            base.store(name, {"artifacts": {"x": b"a" * 300}, "metrics": {}})
-        survivors = len(base)
-        delta = DiskCache(tmp_path / "delta")
-        delta.store("huge", {"artifacts": {"x": b"a" * 5000}, "metrics": {}})
-        merged = base.merge_from(delta.directory)
-        assert merged == 0  # the oversized entry was dropped, not folded in
-        assert base.fetch("huge") is None
-        assert len(base) == survivors  # the warm set was not sacrificed
-        assert not delta.directory.exists()
+    def test_budget_holds_and_worker_evictions_fold_back(self, tmp_path):
+        from repro.experiments import SerialRunner, canonical_json, make_runner
 
-    def test_fallthrough_hit_refreshes_base_recency(self, tmp_path):
-        import os
-
-        from repro.pipeline import ShardDiskCache
-
-        base = DiskCache(tmp_path / "base")
-        base.store("warm", {"artifacts": {}, "metrics": {}})
-        entry = base._path("warm")
-        os.utime(entry, (1, 1))  # ancient mtime: first in line for eviction
-        shard = ShardDiskCache(tmp_path / "delta", base=base.directory)
-        assert shard.fetch("warm") is not None
-        # The shard's use must count as recency on the coordinator's store.
-        assert entry.stat().st_mtime > 1
-
-    def test_shard_cache_pickles(self, tmp_path):
-        from repro.pipeline import ShardDiskCache
-
-        base = DiskCache(tmp_path / "base")
-        base.store("k", {"artifacts": {}, "metrics": {}})
-        shard = ShardDiskCache(tmp_path / "delta", base=base.directory)
-        clone = pickle.loads(pickle.dumps(shard))
-        assert clone.fetch("k") is not None  # read-through survives pickling
+        run = dict(experiment="pooled", scale="bench", seed=0)
+        probe = DiskCache(tmp_path / "probe")
+        reference = SerialRunner(cache=probe).run_jobs(self._jobs(), **run)
+        sizes = [path.stat().st_size for path in probe._entries()]
+        budget = 2 * max(sizes)
+        assert budget < sum(sizes)  # the budget must bind
+        cache = DiskCache(tmp_path / "pooled", max_bytes=budget)
+        runner = make_runner("process", max_workers=2, cache=cache, chunk_size=2)
+        records = runner.run_jobs(self._jobs(), **run)
+        assert canonical_json(records) == canonical_json(reference)
+        assert cache.total_bytes() <= budget
+        # Worker-side evictions fold in with the final budget pass's own.
+        assert cache.evictions > 0
+        assert cache.misses == sum(r.metrics.get("cache_misses", 0) for r in records)
 
 
 class TestMaintenance:
-    """Startup hygiene for long-running stores: sweep + verify."""
+    """Startup hygiene for long-running stores: verify."""
 
     def test_verify_drops_corrupt_entries_and_counts(self, tmp_path):
         from repro import obs
@@ -467,25 +427,3 @@ class TestMaintenance:
         cache._path("00k").write_bytes(b"garbage")
         cache.verify()
         assert cache._approx_bytes == cache.total_bytes() == 0
-
-    def test_sweep_scratch_removes_stale_but_not_fresh(self, tmp_path):
-        import os
-        import time as _time
-
-        from repro.pipeline.cache import STALE_SCRATCH_SECONDS
-
-        cache = DiskCache(tmp_path)
-        shards = tmp_path / ".shards"
-        stale = shards / "batch-dead"
-        fresh = shards / "batch-live"
-        for scratch in (stale, fresh):
-            scratch.mkdir(parents=True)
-            (scratch / "shard-0").mkdir()
-        old = _time.time() - STALE_SCRATCH_SECONDS - 60
-        os.utime(stale, (old, old))
-        cache.sweep_scratch()
-        assert not stale.exists()  # crashed run's leftovers are gone
-        assert fresh.exists()  # a live run's scratch is untouched
-
-    def test_sweep_scratch_without_shards_dir(self, tmp_path):
-        DiskCache(tmp_path).sweep_scratch()  # no .shards/: nothing to do

@@ -198,33 +198,18 @@ class TestPathfindFlag:
 
 
 class TestShardedFlags:
-    def test_sharded_runner_json_fields_match_serial(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "artifacts")
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--runner", "sharded",
-             "--shards", "3", "--cache-dir", cache_dir]
-        )
-        cold = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert cold["runner"] == "sharded"
-        assert cold["cache"]["hits"] == 0 and cold["cache"]["misses"] > 0
-        # Warm re-run at a different shard count: the merged shard deltas
-        # serve every lookup, and the deterministic fields are unchanged.
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--runner", "sharded",
-             "--shards", "2", "--cache-dir", cache_dir]
-        )
-        warm = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert warm["cache"]["hit_rate"] == 1.0
-        assert [entry["fields"] for entry in warm["records"]] == [
-            entry["fields"] for entry in cold["records"]
-        ]
-
-    def test_shards_with_other_runner_is_usage_error(self, capsys):
-        code = main(["experiment", "--name", "fig15", "--shards", "2"])
-        assert code == 2
-        assert "sharded" in capsys.readouterr().err
+    def test_shards_flag_is_usage_error(self, capsys):
+        # The partitioned runner and its --shards flag are gone; the flag
+        # is an argparse error on both front doors, never silently ignored.
+        for argv in (
+            ["experiment", "--name", "fig15", "--shards", "2"],
+            ["submit", "--name", "fig15", "--shards", "2"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments" in err and "--shards" in err
 
     def test_chunk_size_records_identical_to_serial(self, capsys):
         code = main(["experiment", "--name", "fig14", "--json"])
@@ -251,42 +236,40 @@ class TestShardedFlags:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'thread'" in err
-        assert "'serial', 'process', 'sharded'" in err
+        assert "'serial', 'process')" in err
 
     def test_nonpositive_counts_are_usage_errors(self, capsys):
         for flags in (
             ["--runner", "process", "--workers", "0"],
-            ["--runner", "sharded", "--shards", "0"],
             ["--runner", "process", "--chunk-size", "0"],
         ):
             code = main(["experiment", "--name", "fig15", *flags])
             assert code == 2
             assert ">= 1" in capsys.readouterr().err
 
-    def test_memory_cache_with_sharded_runner_is_usage_error(self, capsys):
-        code = main(
-            ["experiment", "--name", "fig15", "--runner", "sharded",
-             "--cache", "memory"]
-        )
-        assert code == 2
-        assert "DiskCache" in capsys.readouterr().err
-
-    def test_sharded_session_totals_fold_into_cache_session(self, capsys, tmp_path):
-        # Satellite fix: the per-shard subprocess hit/miss counts used to be
-        # dropped after merge_from; now cache_session reports the whole run.
-        cache_dir = str(tmp_path / "artifacts")
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--runner", "sharded",
-             "--shards", "2", "--cache-dir", cache_dir]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        session = payload["cache_session"]
-        assert session["backend"] == "disk"
-        assert session["hits"] == payload["cache"]["hits"]
-        assert session["misses"] == payload["cache"]["misses"]
-        assert session["misses"] > 0
-        assert "evictions" in session
+    def test_process_session_totals_fold_into_cache_session(self, capsys, tmp_path):
+        # Pool workers count on their own pickled copy of the cache; each
+        # chunk's counts fold back, so cache_session reports the whole run
+        # and agrees with the record-derived "cache" block, cold and warm.
+        argv = ["experiment", "--name", "fig14", "--json", "--runner", "process",
+                "--workers", "2", "--cache-dir", str(tmp_path / "artifacts")]
+        runs = []
+        for _ in ("cold", "warm"):
+            code = main(argv)
+            payload = json.loads(capsys.readouterr().out)
+            assert code == 0
+            session = payload["cache_session"]
+            assert session["backend"] == "disk"
+            assert session["hits"] == payload["cache"]["hits"]
+            assert session["misses"] == payload["cache"]["misses"]
+            assert "evictions" in session
+            runs.append(payload)
+        cold, warm = runs
+        assert cold["cache"]["hits"] == 0 and cold["cache"]["misses"] > 0
+        assert warm["cache"]["hit_rate"] == 1.0
+        assert [entry["fields"] for entry in warm["records"]] == [
+            entry["fields"] for entry in cold["records"]
+        ]
 
 
 class TestTelemetryFlags:

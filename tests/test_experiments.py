@@ -222,7 +222,7 @@ class TestRunners:
 
     def test_runner_by_name_and_unknown(self):
         assert make_runner("process", 2).max_workers == 2
-        with pytest.raises(ReproError, match="serial, process, sharded"):
+        with pytest.raises(ReproError, match="serial, process$"):
             make_runner("gpu")
 
     def test_result_exports(self):

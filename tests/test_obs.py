@@ -5,14 +5,14 @@ Pins the tentpole guarantees:
 * collection primitives work standalone (span nesting and parent links,
   counter/gauge/histogram registry semantics, per-event-flush logs);
 * trace files round-trip (JSONL and Chrome ``trace_event``) and summarize
-  into per-pass / per-shard / cache tables;
+  into per-pass / per-run / cache tables;
 * the pipeline's pass spans carry the *same* clock reads as
   ``PassContext.timings``, so traces reconcile with timings exactly;
 * telemetry provenance survives every runner boundary: session counters
-  equal the record-derived sums for serial, process, and sharded
-  backends alike, and each compile record brings its spans home;
+  equal the record-derived sums for the serial and process backends
+  alike, and each compile record brings its spans home;
 * **determinism**: canonical records are byte-identical with a telemetry
-  session active or not, on the serial and the sharded runner both.
+  session active or not, on the serial and the process runner both.
 """
 
 import json
@@ -24,13 +24,12 @@ from repro import obs
 from repro.circuits import make_benchmark
 from repro.errors import ReproError
 from repro.experiments import (
+    ChunkTask,
     CompileJob,
     Experiment,
-    ShardOutcome,
-    ShardTask,
     canonical_json,
     make_runner,
-    run_shard,
+    run_chunk,
 )
 from repro.obs.summarize import (
     load_events,
@@ -367,15 +366,13 @@ class TestTimingSplit:
 
 
 def _runner_for(name, tmp_path):
-    if name == "sharded":
-        return make_runner("sharded", cache=DiskCache(tmp_path / "cache"), shards=2)
     if name == "serial":
         return make_runner("serial", cache=MemoryCache())
     return make_runner(name, max_workers=2, cache=DiskCache(tmp_path / "cache"))
 
 
 class TestRunnerProvenance:
-    @pytest.mark.parametrize("name", ["serial", "process", "sharded"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_counters_reconcile_and_spans_arrive(self, name, tmp_path):
         with obs.session() as tele:
             result = TeleToy().run("bench", seed=3, runner=_runner_for(name, tmp_path))
@@ -401,11 +398,8 @@ class TestRunnerProvenance:
         ) >= 1
         kinds = {event["kind"] for event in events}
         assert {"run_started", "run_finished", "job_started", "job_finished"} <= kinds
-        if name == "sharded":
-            assert {"shard_started", "shard_merged"} <= kinds
-            assert any(s["name"].startswith("shard:") for s in spans)
 
-    @pytest.mark.parametrize("name", ["serial", "sharded"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_golden_records_identical_with_session_on_or_off(self, name, tmp_path):
         runner_off = _runner_for(name, tmp_path / "off")
         plain = TeleToy().run("bench", seed=3, runner=runner_off)
@@ -421,38 +415,33 @@ class TestRunnerProvenance:
             for row in (r.flat() for r in traced.records)
         )
 
-    def test_warm_cache_counts_hits_across_shards(self, tmp_path):
+    def test_warm_cache_counts_hits_across_workers(self, tmp_path):
         cache = DiskCache(tmp_path / "store")
-        TeleToy().run("bench", seed=3, runner=make_runner("sharded", cache=cache, shards=2))
+        TeleToy().run(
+            "bench", seed=3, runner=make_runner("process", max_workers=2, cache=cache)
+        )
         cold = cache.stats()
         with obs.session() as tele:
-            warm_runner = make_runner("sharded", cache=cache, shards=3)
+            warm_runner = make_runner("process", max_workers=1, cache=cache)
             result = TeleToy().run("bench", seed=3, runner=warm_runner)
             counters = tele.metrics.snapshot()["counters"]
-        # Satellite fix: shard subprocess counters fold into the runner's
-        # cache object, so session totals cover the whole run.
+        # Worker-side counts fold into the runner's cache object, so its
+        # session totals cover the whole run.
         assert cache.stats()["hits"] > cold["hits"]
         hits = sum(r.metrics.get("cache_hits", 0) for r in result.records)
         assert cache.stats()["hits"] - cold["hits"] == hits
         assert counters.get("cache.hits", 0) == hits
 
-    def test_run_shard_outcome_carries_telemetry(self):
+    def test_run_chunk_records_carry_spans(self):
+        # A worker cannot see the parent's session; the task's telemetry
+        # flag makes its records carry their spans home instead.
         jobs = tuple(enumerate(TeleToy().build_jobs("bench", 3)))
-        task = ShardTask(
-            shard_index=0,
-            experiment="tele-toy",
-            scale="bench",
-            seed=3,
-            jobs=jobs,
-            telemetry=True,
+        task = ChunkTask(
+            experiment="tele-toy", scale="bench", seed=3, jobs=jobs, telemetry=True
         )
-        outcome = run_shard(pickle.loads(pickle.dumps(task)))
-        assert isinstance(outcome, ShardOutcome)
-        outcome = pickle.loads(pickle.dumps(outcome))  # the return trip
-        assert outcome.metrics is not None
-        assert outcome.metrics["histograms"]["online.bfs_nodes"]["count"] > 0
-        assert any(event["kind"] == "job_finished" for event in outcome.events)
-        assert all(record.spans for _index, record in outcome.pairs)
+        pairs, _counts = run_chunk(pickle.loads(pickle.dumps(task)))
+        pairs = pickle.loads(pickle.dumps(pairs))  # the return trip
+        assert all(record.spans for _index, record in pairs)
 
     def test_trace_reconciles_with_record_timings(self, tmp_path):
         with obs.session() as tele:

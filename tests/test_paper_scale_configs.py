@@ -1,6 +1,6 @@
 """Consistency checks on the paper-scale parameter sets (without running them).
 
-`scale="paper"` runs take hours; these tests make sure the configurations
+`scale="paper"` runs take minutes; these tests make sure the configurations
 are at least well-formed and match the paper's Table 1 / figure captions, so
 a long run cannot die on a typo.
 """

@@ -7,13 +7,14 @@ Pins the PR's tentpole guarantees at toy scale:
 * ``shutdown_pools()`` is idempotent and the registry re-warms after it;
 * records are byte-identical across two consecutive runs on one warm
   pool (no state leaks between sweeps) and across any chunk size;
-* a poisoned job fails fast — queued chunks are cancelled, the pool is
-  retired from the registry — while an abandoned consumer
-  (``GeneratorExit``) leaves the shared pool warm;
-* ``make_runner`` validates worker, shard, and chunk counts up front
+* a poisoned job or a dead worker fails fast — queued chunks are
+  cancelled, the pool is retired from the registry — while an abandoned
+  consumer (``GeneratorExit``) leaves the shared pool warm;
+* ``make_runner`` validates worker and chunk counts up front
   instead of silently reinterpreting them.
 """
 
+import os
 import time
 
 import pytest
@@ -46,6 +47,10 @@ def _point(x: int, seed: int) -> dict:
 
 def _boom() -> dict:
     raise ValueError("kaboom")
+
+
+def _die() -> dict:
+    os._exit(1)  # the worker process vanishes mid-chunk
 
 
 def _slow_marker(path: str, x: int) -> dict:
@@ -142,7 +147,7 @@ class TestWarmPoolDeterminism:
         [
             ("process", {"max_workers": 1}),
             ("process", {"max_workers": 2}),
-            ("sharded", {"shards": 2}),
+            ("process", {"max_workers": 2, "chunk_size": 1}),
         ],
     )
     def test_two_consecutive_runs_on_one_warm_pool(self, runner_name, kwargs):
@@ -191,13 +196,16 @@ class TestFailFast:
         # fresh one.
         assert get_pool("process", 1) is not healthy
 
-    def test_poisoned_shard_retires_the_process_pool(self):
-        jobs = [FnJob(key="boom/1", fn=_boom, kwargs={})]
-        runner = make_runner("sharded", shards=1)
+    def test_worker_death_names_the_job_and_retires_the_pool(self):
+        jobs = [FnJob(key="die/1", fn=_die, kwargs={})]
+        runner = make_runner("process", max_workers=1)
         before = get_pool("process", 1)
-        with pytest.raises(ReproError, match="boom/1"):
+        with pytest.raises(ReproError, match="die/1"):
             runner.run_jobs(jobs, experiment="pool-toy", scale="bench", seed=0)
-        assert get_pool("process", 1) is not before
+        # The broken pool left the registry; the next run warms a fresh one.
+        fresh = get_pool("process", 1)
+        assert fresh is not before
+        assert fresh.submit(int, "7").result() == 7
 
     def test_abandoned_consumer_keeps_the_pool_warm(self):
         # Closing the generator mid-stream is not an error: in-flight work
@@ -217,14 +225,9 @@ class TestValidation:
         with pytest.raises(ReproError, match=">= 1"):
             make_runner("process", max_workers=0)
         with pytest.raises(ReproError, match=">= 1"):
-            make_runner("sharded", max_workers=0)
-        with pytest.raises(ReproError, match=">= 1"):
-            make_runner("sharded", shards=0)
-        with pytest.raises(ReproError, match=">= 1"):
             make_runner("process", chunk_size=0)
 
     def test_chunk_size_only_for_pool_runners(self):
         assert make_runner("process", chunk_size=3).chunk_size == 3
-        for name in ("serial", "sharded"):
-            with pytest.raises(ReproError, match=r"pool runners \(process\)"):
-                make_runner(name, chunk_size=3)
+        with pytest.raises(ReproError, match=r"pool runners \(process\)"):
+            make_runner("serial", chunk_size=3)

@@ -126,9 +126,20 @@ class TestValidateRequest:
     def test_v3_rejects_removed_pathfind_field(self, request_):
         """Protocol v3 dropped the path-search selector: a request that
         still sends it is rejected as carrying an unknown field."""
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION >= 3
         with pytest.raises(ProtocolError, match="unknown fields.*pathfind"):
             validate_request({**request_, "v": PROTOCOL_VERSION})
+
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_v4_rejects_removed_shards_field(self, version):
+        """Protocol v4 dropped the experiment request's ``shards`` field: a
+        request that still sends it, v3 client or not, is rejected as
+        carrying an unknown field before the version is even compared."""
+        assert PROTOCOL_VERSION == 4
+        with pytest.raises(ProtocolError, match="unknown fields.*shards"):
+            validate_request(
+                {"op": "experiment", "name": "fig15", "shards": 2, "v": version}
+            )
 
     def test_type_errors_are_loud(self):
         with pytest.raises(ProtocolError, match="expected"):

@@ -292,7 +292,7 @@ class TestCoalescing:
     def test_request_key_separates_different_work(self):
         base = {"op": "experiment", "name": "serve-toy", "scale": "bench",
                 "seed": 0, "runner": "serial", "workers": None,
-                "shards": None, "rewrite": None}
+                "rewrite": None}
         assert request_key(base) == request_key(dict(base))
         assert request_key(base) != request_key({**base, "seed": 1})
         assert request_key(base) != request_key({**base, "name": "serve-gated"})

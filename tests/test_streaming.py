@@ -1,14 +1,14 @@
-"""Streaming and sharded execution: the runner contract, end to end.
+"""Streaming and pooled execution: the runner contract, end to end.
 
-Pins the tentpole guarantees at toy scale (bench-scale golden coverage
-lives in benchmarks/test_sharded_determinism.py):
+Pins the runner guarantees at toy scale (bench-scale golden coverage
+lives in benchmarks/test_experiment_determinism.py):
 
 * ``iter_jobs`` yields records in canonical order, byte-identical to
-  ``run_jobs``, for every backend and for varying worker/shard counts;
+  ``run_jobs``, for every backend and for varying worker/chunk counts;
 * records really stream — the serial generator yields record N before job
   N+1 runs, and pool generators drain through the reorder buffer;
-* the sharded runner's artifact exchange works: per-shard delta
-  directories merge into one base store that makes re-runs fully warm;
+* a chunk is a self-contained, picklable unit of work, and pooled workers
+  share one disk store that makes re-runs fully warm at any width;
 * ``Experiment.iter_records`` + ``ExperimentResult.from_stream`` rebuild
   the exact result of a blocking ``run``;
 * the incremental stream writers flush per record (CSV fixed-header
@@ -22,17 +22,15 @@ import pytest
 
 from repro.errors import ReproError
 from repro.experiments import (
+    ChunkTask,
     CompileJob,
     Experiment,
     ExperimentResult,
     FnJob,
     SerialRunner,
-    ShardedRunner,
-    ShardTask,
     canonical_json,
     make_runner,
-    run_shard,
-    shard_for,
+    run_chunk,
 )
 from repro.experiments.common import stream_for
 from repro.experiments.streams import (
@@ -40,7 +38,7 @@ from repro.experiments.streams import (
     JsonlStreamWriter,
     make_stream_writer,
 )
-from repro.pipeline import DiskCache, MemoryCache, PipelineSettings
+from repro.pipeline import DiskCache, PipelineSettings
 
 #: Jobs append their key here as they *execute*; tests that prove records
 #: stream before the sweep finishes read it mid-iteration (serial runner
@@ -101,10 +99,10 @@ class TestIterJobs:
             ("process", {"max_workers": 1}),
             ("process", {"max_workers": 3}),
             ("process", {"max_workers": 2}),
-            ("sharded", {"shards": 1}),
-            ("sharded", {"shards": 2}),
-            ("sharded", {"shards": 3}),
-            ("sharded", {"shards": 5, "max_workers": 2}),
+            ("process", {"max_workers": 1, "chunk_size": 1}),
+            ("process", {"max_workers": 2, "chunk_size": 1}),
+            ("process", {"max_workers": 2, "chunk_size": 3}),
+            ("process", {"max_workers": 2, "chunk_size": 7}),
         ],
     )
     def test_stream_matches_blocking_canonical_order(self, runner_name, kwargs):
@@ -144,7 +142,7 @@ class TestIterJobs:
 
     def test_failures_name_the_job(self):
         jobs = [FnJob(key="boom/1", fn=_boom, kwargs={})]
-        for runner in (SerialRunner(), make_runner("sharded", shards=2)):
+        for runner in (SerialRunner(), make_runner("process", max_workers=2)):
             with pytest.raises(ReproError, match="boom/1"):
                 list(
                     runner.iter_jobs(
@@ -153,61 +151,33 @@ class TestIterJobs:
                 )
 
 
-class TestShardedRunner:
-    def test_partition_is_stable_and_total(self):
-        keys = [f"job/{i}" for i in range(40)]
-        for shards in (1, 2, 3, 7):
-            assignment = [shard_for(key, shards) for key in keys]
-            assert assignment == [shard_for(key, shards) for key in keys]
-            assert all(0 <= shard < shards for shard in assignment)
-        # More than one shard actually gets work for a realistic key set.
-        assert len({shard_for(key, 4) for key in keys}) > 1
-
-    def test_shard_task_is_picklable_contract(self):
+class TestChunks:
+    def test_chunk_task_is_picklable_contract(self):
         jobs = tuple(enumerate(StreamToy().build_jobs("bench", 5)))
-        task = ShardTask(
-            shard_index=0,
-            experiment="stream-toy",
-            scale="bench",
-            seed=5,
-            jobs=jobs,
-        )
+        task = ChunkTask(experiment="stream-toy", scale="bench", seed=5, jobs=jobs)
         clone = pickle.loads(pickle.dumps(task))
-        outcome = run_shard(clone)
         # The outcome itself must make the return trip intact.
-        outcome = pickle.loads(pickle.dumps(outcome))
-        assert [index for index, _record in outcome.pairs] == list(range(len(jobs)))
-        records = [record for _index, record in outcome.pairs]
+        pairs, counts = pickle.loads(pickle.dumps(run_chunk(clone)))
+        assert [index for index, _record in pairs] == list(range(len(jobs)))
+        records = [record for _index, record in pairs]
         assert canonical_json(records) == canonical_json(REFERENCE.records)
-        # No cache and no telemetry were asked for; the outcome says so.
-        assert outcome.cache is None
-        assert outcome.metrics is None
-        assert outcome.events == []
+        # No cache was asked for, so nothing was counted.
+        assert counts == {"hits": 0, "misses": 0, "evictions": 0}
 
-    def test_artifact_exchange_warms_across_runs_and_shard_counts(self, tmp_path):
+    def test_disk_cache_warms_across_runs_and_worker_counts(self, tmp_path):
         cache = DiskCache(tmp_path)
         cold = StreamToy().run(
-            "bench", seed=5, runner=ShardedRunner(cache=cache, shards=3)
+            "bench", seed=5, runner=make_runner("process", max_workers=2, cache=cache)
         )
         assert canonical_json(cold.records) == canonical_json(REFERENCE.records)
         assert cold.cache_stats()["misses"] > 0
         warm = StreamToy().run(
-            "bench", seed=5, runner=ShardedRunner(cache=cache, shards=2)
+            "bench", seed=5, runner=make_runner("process", max_workers=1, cache=cache)
         )
         assert canonical_json(warm.records) == canonical_json(REFERENCE.records)
         assert warm.cache_stats() == {"hits": 4, "misses": 0, "hit_rate": 1.0}
-        # Scratch deltas were merged and removed; the store holds entries only.
-        assert not any((tmp_path / ".shards").iterdir())
-
-    def test_memory_cache_rejected(self):
-        with pytest.raises(ReproError, match="DiskCache"):
-            ShardedRunner(cache=MemoryCache())
-
-    def test_shards_flag_rejected_elsewhere(self):
-        with pytest.raises(ReproError, match="sharded"):
-            make_runner("process", shards=2)
-        with pytest.raises(ReproError, match=">= 1"):
-            ShardedRunner(shards=0)
+        # The workers' counts folded into the one cache object, both runs.
+        assert (cache.hits, cache.misses) == (4, cold.cache_stats()["misses"])
 
 
 class TestStreamedResults:
@@ -228,9 +198,9 @@ class TestStreamedResults:
         experiment = StreamToy()
         records = list(experiment.iter_records("bench", seed=5))
         result = ExperimentResult.from_stream(
-            experiment, records, runner=ShardedRunner(shards=2)
+            experiment, records, runner=make_runner("process", max_workers=2)
         )
-        assert result.runner == "sharded"
+        assert result.runner == "process"
         with pytest.raises(ReproError, match="no records"):
             ExperimentResult.from_stream(experiment, [])
 
