@@ -247,6 +247,32 @@ class TestShardedFlags:
             assert code == 2
             assert ">= 1" in capsys.readouterr().err
 
+    def test_process_runner_json_fields_match_serial(self, capsys, tmp_path):
+        code = main(["experiment", "--name", "fig14", "--json"])
+        serial = json.loads(capsys.readouterr().out)
+        assert code == 0
+        cache_dir = str(tmp_path / "artifacts")
+        code = main(
+            ["experiment", "--name", "fig14", "--json", "--runner", "process",
+             "--workers", "2", "--cache-dir", cache_dir]
+        )
+        cold = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert cold["runner"] == "process"
+        assert cold["cache"]["hits"] == 0 and cold["cache"]["misses"] > 0
+        # Warm re-run at a different worker count: the shared store serves
+        # every lookup, and the deterministic fields are unchanged.
+        code = main(
+            ["experiment", "--name", "fig14", "--json", "--runner", "process",
+             "--workers", "1", "--cache-dir", cache_dir]
+        )
+        warm = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert warm["cache"]["hit_rate"] == 1.0
+        expected = [entry["fields"] for entry in serial["records"]]
+        assert [entry["fields"] for entry in cold["records"]] == expected
+        assert [entry["fields"] for entry in warm["records"]] == expected
+
     def test_process_session_totals_fold_into_cache_session(self, capsys, tmp_path):
         # Pool workers count on their own pickled copy of the cache; each
         # chunk's counts fold back, so cache_session reports the whole run
