@@ -291,3 +291,84 @@ class TestOnlineReshaper:
         metrics = OnlineReshaper(config, virtual_size=2, rng=0).run([])
         assert metrics.rsl_consumed == 0
         assert metrics.pl_ratio != metrics.pl_ratio  # NaN
+
+
+# ---------------------------------------------------------------------------
+# The online pass's full output, pinned.
+# ---------------------------------------------------------------------------
+
+
+def _pinned_online_configs():
+    """Seeded compiles whose full online accounting is pinned below."""
+    return {
+        "qft16-p0.75": ("qft", 16, {"fusion_success_rate": 0.75}),
+        "qaoa16-p0.75": ("qaoa", 16, {"fusion_success_rate": 0.75}),
+        # A narrow virtual layer on lossy hardware: routing layers, failed
+        # renormalizations and dead sites all show up in the accounting.
+        "vqe9-lossy": ("vqe", 9, {"fusion_success_rate": 0.72, "photon_loss_rate": 0.02}),
+    }
+
+
+def _canonical_reshape(family, qubits, settings_kwargs):
+    """Every field of a compile's ``ReshapeMetrics`` plus its fusions by kind."""
+    from dataclasses import asdict
+    from unittest.mock import patch
+
+    from repro import Pipeline, PipelineSettings
+    from repro.circuits import make_benchmark
+
+    by_kind = {}
+    original = OnlineReshaper.run
+
+    def run(self, demands):
+        metrics = original(self, demands)
+        by_kind.update(self.device.tally.by_kind)
+        return metrics
+
+    with patch.object(OnlineReshaper, "run", run):
+        result = Pipeline(PipelineSettings(**settings_kwargs)).compile(
+            make_benchmark(family, qubits, seed=0), seed=0
+        )
+    return {"reshape": asdict(result.reshape), "fusions_by_kind": by_kind}
+
+
+ONLINE_DIGESTS = {
+    "qaoa16-p0.75": "2dae23731ff35e4e2db1629c842c694fccb7c7cbbb9de9cfcd7686c62ca02a4a",
+    "qft16-p0.75": "be82b8790f5021a8064e8e599a033cc696e695bb2aaae2550e301ae44559ba3e",
+    "vqe9-lossy": "ed4c58def58f008c3cd2da979b2816bad5af9e838880f8a80bd2c5ec5ad86a06",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_pinned_online_configs()))
+def test_online_output_pinned(name):
+    """The online pass's full output is pinned byte for byte: visited sites
+    per attempt, layer marks, attempts, successes, routing layers,
+    connection failures and fusions by kind."""
+    import hashlib
+    import json
+
+    family, qubits, kwargs = _pinned_online_configs()[name]
+    dump = json.dumps(_canonical_reshape(family, qubits, kwargs), sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == ONLINE_DIGESTS[name]
+
+
+def test_concurrent_compiles_match_serial():
+    """Two compiles running at once on a thread pool, the way the compile
+    service runs them, give the same results as serial compiles: no mutable
+    path-search state is shared between threads."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro import Pipeline, PipelineSettings
+    from repro.circuits import make_benchmark
+
+    pipeline = Pipeline(PipelineSettings(fusion_success_rate=0.75))
+    circuits = [make_benchmark(family, 9, seed=0) for family in ("qft", "qaoa")] * 2
+
+    def compile_one(index):
+        result = pipeline.compile(circuits[index], seed=index)
+        return result.rsl_count, result.fusion_count, result.reshape
+
+    serial = [compile_one(index) for index in range(len(circuits))]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = list(pool.map(compile_one, range(len(circuits))))
+    assert concurrent == serial
