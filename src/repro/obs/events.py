@@ -29,10 +29,9 @@ class EventLog:
         self._handle: IO[str] | None = open(path, "w") if path else None
         self._lock = threading.Lock()
 
-    def emit(self, kind: str, _ts: float | None = None, **fields: Any) -> dict[str, Any]:
-        """Record one event; ``_ts`` preserves an original timestamp when a
-        parent re-emits a subprocess's buffered events."""
-        event = {"ts": time.time() if _ts is None else _ts, "kind": kind, **fields}
+    def emit(self, kind: str, **fields: Any) -> dict[str, Any]:
+        """Record one event, stamped with the current epoch time."""
+        event = {"ts": time.time(), "kind": kind, **fields}
         with self._lock:
             self.events.append(event)
             if self._handle is not None:
