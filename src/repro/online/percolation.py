@@ -56,11 +56,12 @@ FRONTIER_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
 @lru_cache(maxsize=8)
 def _frontier_template(
     rows: int, cols: int, lanes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached, read-only ``(indptr, nodes, deltas)`` of a grid shape.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cached, read-only ``(indptr, nodes, deltas, weights)`` of a grid shape.
 
     ``nodes`` and ``deltas`` hold, per grid slot, the slot's own node and
-    its move's one-cell step in flat indices, both int32.
+    its move's one-cell step in flat indices, both int32; ``weights`` is
+    the all-ones edge data every graph of the shape shares.
     """
     total = rows * cols
     slots = len(FRONTIER_MOVES)
@@ -71,53 +72,62 @@ def _frontier_template(
     nodes = np.repeat(np.arange(total, dtype=np.int32), slots)
     steps = np.array([d_row * cols + d_col for d_row, d_col in FRONTIER_MOVES], np.int32)
     deltas = np.tile(steps, total)
-    for array in (indptr, nodes, deltas):
+    weights = np.ones(indptr[-1], dtype=np.float64)
+    for array in (indptr, nodes, deltas, weights):
         array.setflags(write=False)
-    return indptr, nodes, deltas
+    return indptr, nodes, deltas, weights
 
 
-def frontier_graph(
-    codes: np.ndarray, lane_targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)`` of a fixed-degree frontier graph on a grid.
+def frontier_graph(rows: int, cols: int, lanes: int):
+    """A fixed-degree frontier graph on a ``rows x cols`` grid, edges unset.
 
-    ``codes`` is ``(rows, cols, len(FRONTIER_MOVES))`` uint8, one code per
-    grid node and move of :data:`FRONTIER_MOVES`: ``0`` unused, ``1`` or
-    ``2`` an edge to the node one or two cells along the move.  Node
-    ``r * cols + c`` owns its slots in move order, and a virtual
-    super-source (node ``rows * cols``) owns one slot per entry of
-    ``lane_targets``, in order.  An unused slot is a self-loop, which
-    :func:`frontier_bfs` walks without effect (a popped node is already
-    seen), so every graph of one shape shares a cached ``indptr`` and
-    per-slot node and step arrays, and a graph costs one multiply-add.
+    Node ``r * cols + c`` owns one out-edge slot per move of
+    :data:`FRONTIER_MOVES`, in move order, and a virtual super-source
+    (node ``rows * cols``) owns ``lanes`` slots.  Every slot starts as a
+    self-loop, which :func:`frontier_bfs` walks without effect (a popped
+    node is already seen).  The graph is a scipy ``csr_array`` over the
+    shape's cached ``indptr``; :func:`fill_frontier` rewrites its
+    ``indices`` in place, so one graph serves every search of its shape
+    without being rebuilt or revalidated.
+    """
+    csr_array, _ = _scipy_bfs()
+    indptr, nodes, _, weights = _frontier_template(rows, cols, lanes)
+    total = rows * cols
+    indices = np.concatenate([nodes, np.full(lanes, total, dtype=np.int32)])
+    return csr_array((weights, indices, indptr), shape=(total + 1, total + 1))
+
+
+def fill_frontier(graph, codes: np.ndarray, lane_targets: np.ndarray) -> None:
+    """Point ``graph``'s edge slots at the targets ``codes`` describe.
+
+    ``codes`` is ``(rows, cols, len(FRONTIER_MOVES))``, one code per grid
+    node and move: ``0`` unused (a self-loop), ``1`` or ``2`` an edge to
+    the node one or two cells along the move.  It may be a view of
+    ``graph.indices`` itself, which is then converted in place.
+    ``lane_targets`` are the super-source's targets in slot order (the
+    super-source itself for an unused lane).  A fill is one multiply-add
+    into ``graph.indices``.
     """
     rows, cols, _ = codes.shape
-    indptr, nodes, deltas = _frontier_template(rows, cols, lane_targets.size)
-    indices = np.empty(indptr[-1], dtype=np.int32)
+    _, nodes, deltas, _ = _frontier_template(rows, cols, lane_targets.size)
+    indices = graph.indices
     np.multiply(codes.ravel(), deltas, out=indices[: nodes.size])
     indices[: nodes.size] += nodes
     indices[nodes.size :] = lane_targets
-    return indptr, indices
 
 
-def frontier_bfs(
-    indptr: np.ndarray, indices: np.ndarray, source: int
-) -> tuple[np.ndarray, np.ndarray]:
+def frontier_bfs(graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first wavefront over a CSR graph: pop order + predecessors.
 
     Pops are FIFO and each popped node's out-edges are walked in CSR
     storage order, the first discoverer of a node becoming its predecessor
     — exactly the semantics of a scalar ``deque`` BFS, which is what lets
     the vectorized renormalization path search reproduce a deque BFS's
-    paths and visited-site counts byte-for-byte.  Runs on scipy's compiled
+    paths and visited-site counts byte-for-byte.  ``graph`` is a scipy
+    ``csr_array`` (a :func:`frontier_graph`), searched by scipy's compiled
     ``breadth_first_order``.
     """
-    csr_array, breadth_first_order = _scipy_bfs()
-    node_count = indptr.shape[0] - 1
-    graph = csr_array(
-        (np.ones(indices.shape[0], dtype=np.float64), indices, indptr),
-        shape=(node_count, node_count),
-    )
+    _, breadth_first_order = _scipy_bfs()
     order, predecessors = breadth_first_order(
         graph, source, directed=True, return_predecessors=True
     )
@@ -150,8 +160,9 @@ def grid_spans(
     codes[:-1, :, 1] = usable_down
     codes[:, 1:, 2] = usable_across
     codes[:, :-1, 3] = usable_across
-    indptr, indices = frontier_graph(codes, np.where(alive[0], np.arange(cols), total))
-    order, _ = frontier_bfs(indptr, indices, total)
+    graph = frontier_graph(rows, cols, cols)
+    fill_frontier(graph, codes, np.where(alive[0], np.arange(cols), total))
+    order, _ = frontier_bfs(graph, total)
     return bool((order // cols == rows - 1).any())
 
 

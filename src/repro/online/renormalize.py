@@ -36,14 +36,25 @@ from repro.errors import RenormalizationError
 from repro.online.percolation import (
     FRONTIER_MOVES,
     PercolatedLattice,
+    fill_frontier,
     frontier_bfs,
     frontier_graph,
     grid_spans,
 )
 from repro.utils.gridgeom import Coord2D
 
-#: Marker values for the orientation ownership grid.
-_FREE, _VERTICAL, _HORIZONTAL, _DEAD = 0, 1, 2, 3
+#: Search states of a cell for one path search: blocked, free, or owned by
+#: the perpendicular orientation (it may be crossed straight through).
+_BLOCKED, _OPEN, _CROSS = 0, 1, 2
+
+#: Marker values for the orientation ownership grid.  Each marker packs the
+#: cell's search state for a vertical search in bits 0-1 and for a
+#: horizontal search in bits 2-3, so a search reads its states off the
+#: grid with one bitwise operation.
+_FREE = _OPEN | _OPEN << 2
+_VERTICAL = _BLOCKED | _CROSS << 2
+_HORIZONTAL = _CROSS | _BLOCKED << 2
+_DEAD = _BLOCKED | _BLOCKED << 2
 
 
 def _strip_arrays(
@@ -107,9 +118,67 @@ class RenormalizationResult:
 
 
 #: Margin of dead cells around the carver's padded ownership grid and bond
-#: planes.  A two-hop crossing reads two cells past its source, so with two
-#: cells of padding every shifted mask the path search needs is a slice.
+#: masks.  A two-hop crossing reads two cells past its source, so with two
+#: cells of padding every shifted read the path search needs is a slice.
 _PAD = 2
+
+
+class _StripGrid:
+    """Buffers and CSR graph shared by every path search of one strip shape.
+
+    The node grid is the strip in lattice orientation (``rows`` along the
+    spanning direction, ``lanes`` across it) widened by ``_PAD`` lanes on
+    each side along axis 1.  ``state`` holds the strip's search states on
+    that grid plus ``_PAD`` rows above and below, so every read one or two
+    moves away is a contiguous slice of its flat view.  Everything outside
+    ``interior`` stays blocked, which keeps paths inside the strip; a query
+    rewrites only ``interior``.
+    """
+
+    def __init__(self, vertical: bool, size: int, lanes: int) -> None:
+        rows, cols = (size, lanes) if vertical else (lanes, size)
+        width = self.width = cols + 2 * _PAD
+        total = self.total = rows * width
+        self.state = np.zeros((rows + 2 * _PAD, width), dtype=np.int32)
+        self.interior = self.state[_PAD : _PAD + rows, _PAD : _PAD + cols]
+        self.landing = np.empty_like(self.state)
+        # The codes are written straight into the graph's edge targets,
+        # which fill_frontier then turns into node indices in place.
+        self.graph = frontier_graph(rows, width, lanes)
+        slots = len(FRONTIER_MOVES)
+        self.codes = self.graph.indices[: total * slots].reshape(rows, width, slots)
+        # Grid node q is flat state cell q + base; each move reads the cells
+        # one and two steps along it.
+        base = _PAD * width
+        self.reads = []
+        for d_row, d_col in FRONTIER_MOVES:
+            one, two = base + d_row * width + d_col, base + 2 * (d_row * width + d_col)
+            self.reads.append((slice(one, one + total), slice(two, two + total)))
+        # Near-edge start nodes in lane order and the step one cell inward;
+        # the move onto the far edge, from the line before it, as (codes,
+        # far-edge states) views; and the far-edge goal nodes.
+        goal = np.zeros((rows, width), dtype=bool)
+        if vertical:
+            self.starts = np.arange(_PAD, _PAD + lanes, dtype=np.int32)
+            self.inward = width
+            self.edge, self.inner_edge = self.interior[0], self.interior[1]
+            self.onto_goal = (self.codes[rows - 2, :, 1], self.state[_PAD + rows - 1])
+            goal[rows - 1] = True
+        else:
+            self.starts = np.arange(_PAD, total, width, dtype=np.int32)
+            self.inward = 1
+            self.edge, self.inner_edge = self.interior[:, 0], self.interior[:, 1]
+            self.onto_goal = (
+                self.codes[:, _PAD + cols - 2, 3],
+                self.state[_PAD : _PAD + rows, _PAD + cols - 1],
+            )
+            goal[:, _PAD + cols - 1] = True
+        self.entries = self.starts + self.inward
+        self.start_set = frozenset(self.starts.tolist())
+        self.is_goal = goal.ravel()
+        # A step of 2 or 2 * width (every width is at least 5) can only be a
+        # two-hop crossing.
+        self.two_hops = frozenset((2, -2, 2 * width, -2 * width))
 
 
 class _Carver:
@@ -118,18 +187,31 @@ class _Carver:
     def __init__(self, lattice: PercolatedLattice) -> None:
         self.lattice = lattice
         n = self.size = lattice.size
-        self._owner_padded = np.full((n + 2 * _PAD, n + 2 * _PAD), _DEAD, dtype=np.uint8)
+        side = n + 2 * _PAD
+        self._owner_padded = np.full((side, side), _DEAD, dtype=np.uint8)
         self.owner = self._owner_padded[_PAD : _PAD + n, _PAD : _PAD + n]
         self.owner[lattice.sites] = _FREE
-        # Per-RSL bond planes on the same padded grid, 0xFF where a bond is
-        # open: ``_bonds_down[r, c]`` joins cells (r, c) and (r+1, c),
-        # ``_bonds_right[r, c]`` joins (r, c) and (r, c+1).  Raw sampled
-        # bonds suffice: the search only follows a bond onto a free or
-        # perpendicular-owned cell, and both imply a live site at each end.
-        self._bonds_down = np.zeros(self._owner_padded.shape, dtype=np.uint8)
-        self._bonds_down[_PAD : _PAD + n - 1, _PAD : _PAD + n][lattice.vertical] = 0xFF
-        self._bonds_right = np.zeros(self._owner_padded.shape, dtype=np.uint8)
-        self._bonds_right[_PAD : _PAD + n, _PAD : _PAD + n - 1][lattice.horizontal] = 0xFF
+        # Per-RSL bond masks on the padded grid, one per move slot: bit 0
+        # when the bond onto the neighbour along the move is open, bit 1
+        # when the bond beyond it is open too.  Raw sampled bonds suffice:
+        # the search only follows a bond onto a free or perpendicular-owned
+        # cell, and both imply a live site at each end.
+        down = np.zeros((side, side), dtype=np.uint8)
+        down[_PAD : _PAD + n - 1, _PAD : _PAD + n] = lattice.vertical
+        right = np.zeros((side, side), dtype=np.uint8)
+        right[_PAD : _PAD + n, _PAD : _PAD + n - 1] = lattice.horizontal
+        self._masks = np.zeros((side, side, len(FRONTIER_MOVES)), dtype=np.uint8)
+        for slot, (d_row, d_col) in enumerate(FRONTIER_MOVES):
+            plane = down if d_row else right
+            # The bond joining a cell to its neighbour at (d_row, d_col)
+            # sits at the cell shifted by (b_row, b_col).
+            b_row, b_col = _PAD + min(d_row, 0), _PAD + min(d_col, 0)
+            near = plane[b_row : b_row + n, b_col : b_col + n]
+            far = plane[b_row + d_row : b_row + d_row + n, b_col + d_col : b_col + d_col + n]
+            self._masks[_PAD : _PAD + n, _PAD : _PAD + n, slot] = near | ((near & far) << 1)
+        # One grid per strip shape, owned here rather than shared: the
+        # carver lives for one RSL and one thread.
+        self._grids: dict[tuple[bool, int], _StripGrid] = {}
         self.visited_sites = 0
 
     # -- generic helpers --------------------------------------------------
@@ -156,25 +238,29 @@ class _Carver:
 
     # -- BFS path search ----------------------------------------------------
 
-    def find_path(self, vertical: bool, index: int, count: int) -> list[Coord2D] | None:
+    def find_path(
+        self, vertical: bool, index: int, count: int
+    ) -> tuple[np.ndarray, np.ndarray] | None:
         """Shortest spanning path for strip/band ``index`` (None if blocked).
 
-        A vertical path may step on horizontal-path sites only by crossing
-        them straight through (and vice versa); it may never travel along
-        them, which is the tangling the surround-removal of the paper
-        prevents.  The search is a fixed-shape CSR wavefront, byte-identical
-        in paths, ownership and visited-site accounting to a per-cell deque
-        BFS (the reference model the tests patch in).
+        Returns the path's sites, near edge to far edge, as flat row and
+        column arrays.  A vertical path may step on horizontal-path sites
+        only by crossing them straight through (and vice versa); it may
+        never travel along them, which is the tangling the surround-removal
+        of the paper prevents.  The search is a fixed-shape CSR wavefront,
+        byte-identical in paths, ownership and visited-site accounting to a
+        per-cell deque BFS (the reference model the tests patch in).
 
-        The strip plus a ``_PAD`` margin on each lane side is cut from the
-        carver's padded planes and flattened, so every shifted mask is a
-        contiguous slice.  Each cell gets one code per grid move, in the
-        scalar move order: 1 for a step onto a free cell or a far-edge
-        crossing onto a perpendicular-owned goal cell, 2 for a straight-
-        through crossing onto a free landing, 0 for nothing (the scalar
-        step kinds need distinct target states, so one code suffices).
-        :func:`~repro.online.percolation.frontier_graph` turns the codes
-        into CSR over a cached skeleton, with the near-edge start cells in
+        The strip's search states are read off the ownership markers into
+        its shape's :class:`_StripGrid`, whose blocked margins keep paths
+        in the strip.  Each cell gets one code per grid move, in the scalar
+        move order: 1 for a step onto a free cell or a far-edge crossing
+        onto a perpendicular-owned goal cell, 2 for a straight-through
+        crossing onto a free landing, 0 for nothing (the scalar step kinds
+        need distinct target states, so one code suffices), masked by the
+        RSL's bond masks.
+        :func:`~repro.online.percolation.fill_frontier` turns the codes into
+        the shape's reused CSR graph, with the near-edge start cells in
         lane order on a super-source, and one
         :func:`~repro.online.percolation.frontier_bfs` pops cells in the
         scalar deque's order: the goal's pop index is the scalar visited
@@ -198,134 +284,106 @@ class _Carver:
             state = self.owner[0, 0]
             if state == other_owner or state == _FREE:
                 self.visited_sites += 1 + int(state == _FREE)
-                return [(0, 0)]
+                return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
             self._strip_connected(vertical, low, high)
             return None
 
-        # The strip in lattice orientation: it spans along rows for a column
-        # strip and along columns for a row band.  The margin lanes beside
-        # it are masked dead so paths stay inside it.
+        grid = self._grids.get((vertical, high - low))
+        if grid is None:
+            grid = self._grids[(vertical, high - low)] = _StripGrid(vertical, n, high - low)
         if vertical:
-            rows, width = n, high - low + 2 * _PAD
-            region = np.s_[:, low : high + 2 * _PAD]
-            margins = (np.s_[:, :_PAD], np.s_[:, -_PAD:])
+            strip, region = self.owner[:, low:high], np.s_[_PAD : _PAD + n, low : high + 2 * _PAD]
+            np.bitwise_and(strip, 3, out=grid.interior)
         else:
-            rows, width = high - low, n + 2 * _PAD
-            region = np.s_[low : high + 2 * _PAD, :]
-            margins = (np.s_[:_PAD], np.s_[-_PAD:])
-        owner = self._owner_padded[region]
-        free = owner == _FREE
-        other = owner == other_owner
-        for margin in margins:
-            free[margin] = False
-            other[margin] = False
-        # Flat uint8 planes (0/1 states, 0/0xFF bonds): every shifted mask
-        # below is a contiguous slice.
-        free = free.ravel().view(np.uint8)
-        other = other.ravel().view(np.uint8)
-        bonds_down = self._bonds_down[region].ravel()
-        bonds_right = self._bonds_right[region].ravel()
-
-        # Grid node q is flat padded cell q + first; the super-source is
-        # node ``total``.
-        total = rows * width
-        first = _PAD * width
-
-        def at(plane: np.ndarray, shift: int) -> np.ndarray:
-            """``plane`` sampled at ``node + shift``, for every grid node."""
-            return plane[first + shift : first + shift + total]
-
-        codes = np.empty((rows, width, len(FRONTIER_MOVES)), dtype=np.uint8)
-        slot_codes = codes.reshape(total, -1)
-        if vertical:
-            # Stepping down onto the far edge (row rows - 1).
-            into_goal, goal_line = (1, 0), np.s_[(rows - 2) * width : (rows - 1) * width]
-        else:
-            # Stepping right onto the far edge (column n - 1).
-            into_goal, goal_line = (0, 1), np.s_[_PAD + n - 2 :: width]
-        for slot, (d_row, d_col) in enumerate(FRONTIER_MOVES):
-            plane = bonds_down if d_row else bonds_right
-            d = d_row * width + d_col
-            back = min(d, 0)  # the bond joining node and node + d sits here
-            # What stepping onto node + d yields: 1 onto a free cell; 2 onto
-            # a perpendicular-owned cell crossed straight through (bond
-            # onward, free landing two cells out).
-            landing = at(other, d) & at(plane, d + back)
-            landing &= at(free, 2 * d)
-            landing <<= 1
-            landing |= at(free, d)
-            if (d_row, d_col) == into_goal:
-                # Crossing right at the far edge: the perpendicular path's
-                # site serves as the endpoint.
-                landing[goal_line] = at(free, d)[goal_line] | at(other, d)[goal_line]
-            np.bitwise_and(at(plane, back), landing, out=slot_codes[:, slot])
+            strip, region = self.owner[low:high, :], np.s_[low + _PAD : high + _PAD, :]
+            np.right_shift(strip, 2, out=grid.interior)
+        # A move's code is ``near & (far << 1 | 1)`` over the search states
+        # one and two steps along it: 1 onto a free cell, 2 across a
+        # crossable cell onto a free landing.
+        state, landing = grid.state.ravel(), grid.landing.ravel()
+        np.left_shift(state, 1, out=landing)
+        landing |= 1
+        codes = grid.codes
+        slot_codes = codes.reshape(grid.total, -1)
+        for slot, (near, far) in enumerate(grid.reads):
+            np.bitwise_and(state[near], landing[far], out=slot_codes[:, slot])
+        # Onto the far edge, a crossable cell is an endpoint (a far-edge
+        # crossing), not a cell to cross.
+        onto_goal, goal_states = grid.onto_goal
+        np.minimum(goal_states, 1, out=onto_goal)
+        codes &= self._masks[region]
 
         # Start cells on the near edge, in lane order: free cells start
         # normally; perpendicular-owned cells are entered one cell inward
         # (the owned cell rejoins the path as a reconstruction prefix).
         if vertical:
-            edge, inward, entry_bonds = np.s_[_PAD : width - _PAD], width, bonds_down
+            entry_bonds = self.lattice.vertical[0, low:high]
         else:
-            edge, inward, entry_bonds = np.s_[_PAD:total:width], 1, bonds_right
-        starts = np.arange(total, dtype=np.int32)[edge]
-        entered = at(other, 0)[edge] & at(free, inward)[edge]
-        entered &= at(entry_bonds, 0)[edge]
-        indptr, indices = frontier_graph(
-            codes, np.where(at(free, 0)[edge], starts, np.where(entered, starts + inward, total))
+            entry_bonds = self.lattice.horizontal[low:high, 0]
+        entered = (grid.edge == _CROSS) & (grid.inner_edge == _OPEN) & entry_bonds
+        starts, total = grid.starts, grid.total
+        fill_frontier(
+            grid.graph,
+            codes,
+            np.where(grid.edge == _OPEN, starts, np.where(entered, grid.entries, total)),
         )
-        pop_order, parents = frontier_bfs(indptr, indices, total)
+        pop_order, parents = frontier_bfs(grid.graph, total)
         popped = pop_order[1:]  # pop 0 is the super-source, which costs nothing
-        if vertical:
-            hits = np.flatnonzero(popped >= (rows - 1) * width)
-        else:
-            hits = np.flatnonzero(popped % width == _PAD + n - 1)
-        if not hits.size:
+        goal_pops = grid.is_goal.take(popped)
+        if not goal_pops.any():
             # Every enqueued cell was popped without reaching the far edge.
             # Those pops count only if the pre-check lets the search run.
             if self._strip_connected(vertical, low, high):
                 self.visited_sites += popped.size
             return None
-        found = int(hits[0])
+        found = int(goal_pops.argmax())
         # Pops up to (and including) the goal are the scalar BFS's visited
         # count; the pre-check the scalar search runs first charges the
         # full strip area.
         self.visited_sites += n * (high - low) + found + 1
 
-        # Walk the predecessors goal to root.  With the lane padding every
-        # width is at least 5, so a step of 2 or 2 * width can only be a
-        # two-hop crossing, whose skipped crossing site is the midpoint.
-        two_hops = (2, -2, 2 * width, -2 * width)
+        # Walk the predecessors goal to root; a two-hop crossing's skipped
+        # crossing site is the midpoint of its step.
+        parent_of = memoryview(parents)
+        two_hops = grid.two_hops
         chain = []
         node = int(popped[found])
         while True:
             chain.append(node)
-            parent = parents.item(node)
+            parent = parent_of[node]
             if parent == total:
                 break
             if node - parent in two_hops:
                 chain.append((node + parent) // 2)
             node = parent
-        if node not in starts:
+        if node not in grid.start_set:
             # Entered one cell inward: the owned near-edge cell comes first.
-            chain.append(node - inward)
-        path_rows, path_cols = np.divmod(np.array(chain[::-1]), width)
+            chain.append(node - grid.inward)
+        path_rows, path_cols = np.divmod(
+            np.fromiter(reversed(chain), np.int64, len(chain)), grid.width
+        )
         if vertical:
             path_cols += low - _PAD
         else:
             path_rows += low
             path_cols -= _PAD
-        return list(zip(path_rows.tolist(), path_cols.tolist()))
+        return path_rows, path_cols
 
-    def claim(self, path: list[Coord2D], vertical: bool) -> None:
+    def claim(
+        self, path: tuple[np.ndarray, np.ndarray] | list[Coord2D], vertical: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Mark a found path's sites with their orientation ownership.
 
         Crossing sites (already owned by the perpendicular orientation) keep
         their original owner — they are exactly the renormalized nodes.
+        Takes the flat ``(rows, cols)`` arrays :meth:`find_path` returns or
+        a list of coordinates, and returns the path as flat arrays.
         """
-        rows, cols = np.array(path).T
+        rows, cols = path if isinstance(path, tuple) else np.array(path).T
         sites = self.owner[rows, cols]
         marker = _VERTICAL if vertical else _HORIZONTAL
         self.owner[rows, cols] = np.where(sites == _FREE, marker, sites)
+        return rows, cols
 
 
 def renormalize(
@@ -345,8 +403,9 @@ def renormalize(
     non-modular baseline): when exceeded, the partial result so far is
     returned as a failure.
 
-    Each path search is one compiled wavefront over a fixed-shape CSR
-    template per strip.  The visited-site accounting is
+    Each path search is one compiled wavefront over a CSR graph that the
+    carver builds once per strip shape and refills per search.  The
+    visited-site accounting is
     implementation-independent (the property suite patches in a deque-BFS
     reference search and a union-find pre-check and asserts full-result
     identity), so it is a stable Fig. 14 cost proxy.
@@ -358,82 +417,65 @@ def renormalize(
             f"target {target_size} exceeds lattice size {lattice.size}"
         )
     carver = _Carver(lattice)
-    vertical_paths: list[list[Coord2D]] = []
-    horizontal_paths: list[list[Coord2D]] = []
+    paths: dict[bool, list[tuple[np.ndarray, np.ndarray]]] = {True: [], False: []}
+
+    def result(success: bool, lattice_size: int, node_sites=None) -> RenormalizationResult:
+        return RenormalizationResult(
+            success=success,
+            target_size=target_size,
+            lattice_size=lattice_size,
+            node_sites={} if node_sites is None else node_sites,
+            vertical_paths=[_coords(path) for path in paths[True]],
+            horizontal_paths=[_coords(path) for path in paths[False]],
+            visited_sites=carver.visited_sites,
+        )
 
     for index in range(target_size):
         for vertical in (True, False):
             if work_budget is not None and carver.visited_sites > work_budget:
-                achieved = min(len(vertical_paths), len(horizontal_paths))
-                return RenormalizationResult(
-                    success=False,
-                    target_size=target_size,
-                    lattice_size=achieved,
-                    vertical_paths=vertical_paths,
-                    horizontal_paths=horizontal_paths,
-                    visited_sites=carver.visited_sites,
-                )
+                return result(False, min(len(paths[True]), len(paths[False])))
             path = carver.find_path(vertical, index, target_size)
             if path is None:
-                achieved = min(len(vertical_paths), len(horizontal_paths))
-                return RenormalizationResult(
-                    success=False,
-                    target_size=target_size,
-                    lattice_size=achieved,
-                    vertical_paths=vertical_paths,
-                    horizontal_paths=horizontal_paths,
-                    visited_sites=carver.visited_sites,
-                )
-            carver.claim(path, vertical)
-            (vertical_paths if vertical else horizontal_paths).append(path)
+                return result(False, min(len(paths[True]), len(paths[False])))
+            paths[vertical].append(carver.claim(path, vertical))
 
-    node_sites = _intersections(vertical_paths, horizontal_paths)
+    node_sites = _intersections(lattice.size, paths[True], paths[False])
     if len(node_sites) < target_size * target_size:
-        achieved = int(len(node_sites) ** 0.5)
-        return RenormalizationResult(
-            success=False,
-            target_size=target_size,
-            lattice_size=achieved,
-            node_sites=node_sites,
-            vertical_paths=vertical_paths,
-            horizontal_paths=horizontal_paths,
-            visited_sites=carver.visited_sites,
-        )
-    return RenormalizationResult(
-        success=True,
-        target_size=target_size,
-        lattice_size=target_size,
-        node_sites=node_sites,
-        vertical_paths=vertical_paths,
-        horizontal_paths=horizontal_paths,
-        visited_sites=carver.visited_sites,
-    )
+        return result(False, int(len(node_sites) ** 0.5), node_sites)
+    return result(True, target_size, node_sites)
+
+
+def _coords(path: tuple[np.ndarray, np.ndarray]) -> list[Coord2D]:
+    """A path's flat row and column arrays as a list of coordinates."""
+    rows, cols = path
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def _intersections(
-    vertical_paths: list[list[Coord2D]],
-    horizontal_paths: list[list[Coord2D]],
+    size: int,
+    vertical_paths: list[tuple[np.ndarray, np.ndarray]],
+    horizontal_paths: list[tuple[np.ndarray, np.ndarray]],
 ) -> dict[tuple[int, int], Coord2D]:
     """First shared site of each (vertical, horizontal) path pair.
 
-    One ``coord -> v_index`` map over all vertical paths replaces the old
-    every-horizontal-against-every-vertical-set rescan, making this linear
-    in total path length instead of quadratic in the path count.  "First"
-    still means first along the horizontal path (vertical paths are
-    disjoint, so each site maps to at most one v_index), and the node dict
-    keeps the old (ascending ``v_index``) insertion order per ``h_index``.
+    Paths are flat ``(rows, cols)`` arrays on a ``size x size`` lattice.
+    One label grid maps each site to the vertical path on it (the first,
+    should two share a site), so each horizontal path is one gather, and
+    the work is linear in total path length.  "First" means first along
+    the horizontal path, and the node dict is in ascending ``h_index``,
+    then ascending ``v_index`` order.
     """
+    labels = np.full((size, size), -1, dtype=np.int32)
+    for v_index in reversed(range(len(vertical_paths))):
+        labels[vertical_paths[v_index]] = v_index
     nodes: dict[tuple[int, int], Coord2D] = {}
-    site_to_v: dict[Coord2D, int] = {}
-    for v_index, v_path in enumerate(vertical_paths):
-        for coord in v_path:
-            site_to_v.setdefault(coord, v_index)
-    for h_index, h_path in enumerate(horizontal_paths):
-        found: dict[int, Coord2D] = {}
-        for coord in h_path:
-            v_index = site_to_v.get(coord)
-            if v_index is not None and v_index not in found:
-                found[v_index] = coord
-        for v_index in sorted(found):
-            nodes[(v_index, h_index)] = found[v_index]
+    for h_index, (rows, cols) in enumerate(horizontal_paths):
+        crossed = labels[rows, cols]
+        at = np.flatnonzero(crossed >= 0)
+        first: dict[int, int] = {}
+        for position, v_index in zip(at.tolist(), crossed[at].tolist()):
+            first.setdefault(v_index, position)
+        for v_index in sorted(first):
+            position = first[v_index]
+            nodes[(v_index, h_index)] = (rows.item(position), cols.item(position))
     return nodes

@@ -177,20 +177,18 @@ def strip_spans_dsu(
 NO_PREDECESSOR = -9999
 
 
-def frontier_bfs_reference(
-    indptr: np.ndarray, indices: np.ndarray, source: int
-) -> tuple[np.ndarray, np.ndarray]:
+def frontier_bfs_reference(graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     """Pure-Python twin of :func:`repro.online.percolation.frontier_bfs`.
 
-    FIFO pops, per-node edges walked in CSR storage order, the first
-    discoverer becoming the predecessor.  The product runs scipy's
-    ``breadth_first_order``; this pins scipy's (undocumented but
-    load-bearing) tie-break behaviour.
+    FIFO pops over a CSR ``graph``'s ``indptr`` and ``indices``, per-node
+    edges walked in storage order, the first discoverer becoming the
+    predecessor.  The product runs scipy's ``breadth_first_order``; this
+    pins scipy's (undocumented but load-bearing) tie-break behaviour.
     """
-    node_count = indptr.shape[0] - 1
+    node_count = graph.indptr.shape[0] - 1
     predecessors = np.full(node_count, NO_PREDECESSOR, dtype=np.int32)
-    indptr_list = indptr.tolist()
-    indices_list = indices.tolist()
+    indptr_list = graph.indptr.tolist()
+    indices_list = graph.indices.tolist()
     seen = bytearray(node_count)
     seen[source] = 1
     order = [source]

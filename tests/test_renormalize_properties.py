@@ -10,6 +10,7 @@ from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 from oracles import find_path_reference, frontier_bfs_reference, strip_spans_dsu
 
 import repro
@@ -279,7 +280,7 @@ def test_scipy_stays_out_of_import_time():
 
 
 def frontier_adjacency(sources, targets, node_count):
-    """Compacted CSR ``(indptr, indices)`` from directed edge lists.
+    """Compacted CSR graph from directed edge lists.
 
     The stable sort keeps each node's out-edges in the order they appear in
     ``sources``/``targets`` — the tie-break order :func:`frontier_bfs`
@@ -291,7 +292,9 @@ def frontier_adjacency(sources, targets, node_count):
     indices = targets[order].astype(np.int32, copy=False)
     indptr = np.zeros(node_count + 1, dtype=np.int32)
     np.cumsum(np.bincount(sources, minlength=node_count), out=indptr[1:])
-    return indptr, indices
+    return csr_array(
+        (np.ones(indices.size), indices, indptr), shape=(node_count, node_count)
+    )
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.floats(0.0, 3.0))
@@ -304,10 +307,10 @@ def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
     edge_count = int(degree * nodes)
     sources = rng.integers(0, nodes, edge_count)
     targets = rng.integers(0, nodes, edge_count)
-    indptr, indices = frontier_adjacency(sources, targets, nodes)
+    graph = frontier_adjacency(sources, targets, nodes)
     source = int(rng.integers(0, nodes))
-    python_order, python_pred = frontier_bfs_reference(indptr, indices, source)
-    order, pred = percolation.frontier_bfs(indptr, indices, source)
+    python_order, python_pred = frontier_bfs_reference(graph, source)
+    order, pred = percolation.frontier_bfs(graph, source)
     assert np.array_equal(order, python_order)
     assert np.array_equal(pred, python_pred)
 
@@ -343,20 +346,25 @@ def test_template_self_loops_match_compacted_csr(seed, rows, cols, density, by_r
         )
         codes[:, :, slot][off_grid] = 0
     lanes = np.arange(0, total, cols) if by_rows else np.arange(cols)
-    indptr, indices = percolation.frontier_graph(
-        codes.astype(np.uint8), np.where(rng.random(lanes.size) < density, lanes, total)
+    graph = percolation.frontier_graph(rows, cols, lanes.size)
+    percolation.fill_frontier(
+        graph, codes.astype(np.uint8), np.where(rng.random(lanes.size) < density, lanes, total)
     )
     # The same graph, compacted: drop every self-loop, keep slot order.
-    owners = np.repeat(np.arange(total + 1), np.diff(indptr))
-    live = indices != owners
-    compact_ptr, compact_idx = frontier_adjacency(
-        owners[live], indices[live], total + 1
-    )
+    owners = np.repeat(np.arange(total + 1), np.diff(graph.indptr))
+    live = graph.indices != owners
+    compact = frontier_adjacency(owners[live], graph.indices[live], total + 1)
     for bfs in (percolation.frontier_bfs, frontier_bfs_reference):
-        template_run = bfs(indptr, indices, total)
-        compact_run = bfs(compact_ptr, compact_idx, total)
+        template_run = bfs(graph, total)
+        compact_run = bfs(compact, total)
         assert np.array_equal(template_run[0], compact_run[0])
         assert np.array_equal(template_run[1], compact_run[1])
+
+
+def _flat(paths):
+    """Coordinate-list paths as the flat ``(rows, cols)`` arrays the carver
+    keeps."""
+    return [tuple(np.array(path).T) for path in paths]
 
 
 def _intersections_quadratic(vertical_paths, horizontal_paths):
@@ -384,7 +392,9 @@ def test_intersections_map_matches_quadratic_reference(case):
     expected = _intersections_quadratic(
         result.vertical_paths, result.horizontal_paths
     )
-    actual = _intersections(result.vertical_paths, result.horizontal_paths)
+    actual = _intersections(
+        size, _flat(result.vertical_paths), _flat(result.horizontal_paths)
+    )
     assert actual == expected
     assert list(actual) == list(expected)
 
@@ -395,7 +405,7 @@ def test_intersections_first_site_along_horizontal_path():
     v0 = [(0, 1), (1, 1), (2, 1)]
     v1 = [(0, 3), (1, 3), (2, 3)]
     h0 = [(1, 4), (1, 3), (1, 2), (1, 1)]  # meets v1 before v0
-    nodes = _intersections([v0, v1], [h0])
+    nodes = _intersections(5, _flat([v0, v1]), _flat([h0]))
     assert nodes == {(0, 0): (1, 1), (1, 0): (1, 3)}
     assert list(nodes) == [(0, 0), (1, 0)]
 
