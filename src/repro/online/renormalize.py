@@ -117,8 +117,8 @@ class RenormalizationResult:
         return rsl / max(1, self.lattice_size)
 
 
-#: Margin of dead cells around the carver's padded ownership grid and bond
-#: masks.  A two-hop crossing reads two cells past its source, so with two
+#: Margin of blocked cells around the carver's bond masks and each strip
+#: grid.  A two-hop crossing reads two cells past its source, so with two
 #: cells of padding every shifted read the path search needs is a slice.
 _PAD = 2
 
@@ -162,14 +162,19 @@ class _StripGrid:
             self.starts = np.arange(_PAD, _PAD + lanes, dtype=np.int32)
             self.inward = width
             self.edge, self.inner_edge = self.interior[0], self.interior[1]
-            self.onto_goal = (self.codes[rows - 2, :, 1], self.state[_PAD + rows - 1])
+            onto_goal_slot = FRONTIER_MOVES.index((1, 0))
+            self.onto_goal = (
+                self.codes[rows - 2, :, onto_goal_slot],
+                self.state[_PAD + rows - 1],
+            )
             goal[rows - 1] = True
         else:
             self.starts = np.arange(_PAD, total, width, dtype=np.int32)
             self.inward = 1
             self.edge, self.inner_edge = self.interior[:, 0], self.interior[:, 1]
+            onto_goal_slot = FRONTIER_MOVES.index((0, 1))
             self.onto_goal = (
-                self.codes[:, _PAD + cols - 2, 3],
+                self.codes[:, _PAD + cols - 2, onto_goal_slot],
                 self.state[_PAD : _PAD + rows, _PAD + cols - 1],
             )
             goal[:, _PAD + cols - 1] = True
@@ -188,9 +193,7 @@ class _Carver:
         self.lattice = lattice
         n = self.size = lattice.size
         side = n + 2 * _PAD
-        self._owner_padded = np.full((side, side), _DEAD, dtype=np.uint8)
-        self.owner = self._owner_padded[_PAD : _PAD + n, _PAD : _PAD + n]
-        self.owner[lattice.sites] = _FREE
+        self.owner = np.where(lattice.sites, _FREE, _DEAD).astype(np.uint8)
         # Per-RSL bond masks on the padded grid, one per move slot: bit 0
         # when the bond onto the neighbour along the move is open, bit 1
         # when the bond beyond it is open too.  Raw sampled bonds suffice:
