@@ -154,14 +154,16 @@ class _StripGrid:
         for d_row, d_col in FRONTIER_MOVES:
             one, two = base + d_row * width + d_col, base + 2 * (d_row * width + d_col)
             self.reads.append((slice(one, one + total), slice(two, two + total)))
-        # Near-edge start nodes in lane order and the step one cell inward;
-        # the move onto the far edge, from the line before it, as (codes,
+        # Near-edge start nodes in lane order and the step one cell inward,
+        # with the edge states and the landing values one cell inward; the
+        # move onto the far edge, from the line before it, as (codes,
         # far-edge states) views; and the far-edge goal nodes.
         goal = np.zeros((rows, width), dtype=bool)
         if vertical:
             self.starts = np.arange(_PAD, _PAD + lanes, dtype=np.int32)
             self.inward = width
-            self.edge, self.inner_edge = self.interior[0], self.interior[1]
+            self.edge = self.interior[0]
+            self.inner_landing = self.landing[_PAD + 1, _PAD : _PAD + cols]
             onto_goal_slot = FRONTIER_MOVES.index((1, 0))
             self.onto_goal = (
                 self.codes[rows - 2, :, onto_goal_slot],
@@ -171,14 +173,19 @@ class _StripGrid:
         else:
             self.starts = np.arange(_PAD, total, width, dtype=np.int32)
             self.inward = 1
-            self.edge, self.inner_edge = self.interior[:, 0], self.interior[:, 1]
+            self.edge = self.interior[:, 0]
+            self.inner_landing = self.landing[_PAD : _PAD + rows, _PAD + 1]
             onto_goal_slot = FRONTIER_MOVES.index((0, 1))
             self.onto_goal = (
                 self.codes[:, _PAD + cols - 2, onto_goal_slot],
                 self.state[_PAD : _PAD + rows, _PAD + cols - 1],
             )
             goal[:, _PAD + cols - 1] = True
-        self.entries = self.starts + self.inward
+        # The super-source's target per lane and start kind (see find_path).
+        self.lane_targets = np.stack(
+            [np.full(lanes, total, dtype=np.int32), self.starts, self.starts + self.inward]
+        )
+        self.lanes = np.arange(lanes)
         self.start_set = frozenset(self.starts.tolist())
         self.is_goal = goal.ravel()
         # A step of 2 or 2 * width (every width is at least 5) can only be a
@@ -212,6 +219,14 @@ class _Carver:
             near = plane[b_row : b_row + n, b_col : b_col + n]
             far = plane[b_row + d_row : b_row + d_row + n, b_col + d_col : b_col + d_col + n]
             self._masks[_PAD : _PAD + n, _PAD : _PAD + n, slot] = near | ((near & far) << 1)
+        # The start kinds each near-edge lane allows (see find_path): bit 0
+        # always, bit 1 when the bond one cell inward is open.
+        lattice_lanes = np.s_[_PAD : _PAD + n]
+        down_slot, right_slot = FRONTIER_MOVES.index((1, 0)), FRONTIER_MOVES.index((0, 1))
+        self._lane_kinds = {
+            True: 1 | (self._masks[_PAD, lattice_lanes, down_slot] & 1) << 1,
+            False: 1 | (self._masks[lattice_lanes, _PAD, right_slot] & 1) << 1,
+        }
         # One grid per strip shape, owned here rather than shared: the
         # carver lives for one RSL and one thread.
         self._grids: dict[tuple[bool, int], _StripGrid] = {}
@@ -316,20 +331,16 @@ class _Carver:
         np.minimum(goal_states, 1, out=onto_goal)
         codes &= self._masks[region]
 
-        # Start cells on the near edge, in lane order: free cells start
-        # normally; perpendicular-owned cells are entered one cell inward
-        # (the owned cell rejoins the path as a reconstruction prefix).
-        if vertical:
-            entry_bonds = self.lattice.vertical[0, low:high]
-        else:
-            entry_bonds = self.lattice.horizontal[low:high, 0]
-        entered = (grid.edge == _CROSS) & (grid.inner_edge == _OPEN) & entry_bonds
-        starts, total = grid.starts, grid.total
-        fill_frontier(
-            grid.graph,
-            codes,
-            np.where(grid.edge == _OPEN, starts, np.where(entered, grid.entries, total)),
-        )
+        # Start cells on the near edge, in lane order: a free cell starts
+        # normally (kind 1); a perpendicular-owned cell with an open bond
+        # onto a free cell one inward is entered there (kind 2; the owned
+        # cell rejoins the path as a reconstruction prefix); kind 0 leaves
+        # the lane unused.  The kind is the move code of a step onto the
+        # edge cell from outside the strip (``near`` the edge cell, ``far``
+        # the cell inward), masked by the lane's bond.
+        kinds = grid.edge & grid.inner_landing & self._lane_kinds[vertical][low:high]
+        fill_frontier(grid.graph, codes, grid.lane_targets[kinds, grid.lanes])
+        total = grid.total
         pop_order, parents = frontier_bfs(grid.graph, total)
         popped = pop_order[1:]  # pop 0 is the super-source, which costs nothing
         goal_pops = grid.is_goal.take(popped)

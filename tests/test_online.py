@@ -1,10 +1,19 @@
 """Tests for the online passes: percolation, renormalization, modularity,
 fusion strategy, and the time-like reshaper."""
 
+import hashlib
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Pipeline, PipelineSettings
+from repro.circuits import make_benchmark
 from repro.errors import HardwareError, RenormalizationError
 from repro.graphstate import ResourceStateSpec
 from repro.hardware import FusionDevice, HardwareConfig
@@ -311,12 +320,6 @@ def _pinned_online_configs():
 
 def _canonical_reshape(family, qubits, settings_kwargs):
     """Every field of a compile's ``ReshapeMetrics`` plus its fusions by kind."""
-    from dataclasses import asdict
-    from unittest.mock import patch
-
-    from repro import Pipeline, PipelineSettings
-    from repro.circuits import make_benchmark
-
     by_kind = {}
     original = OnlineReshaper.run
 
@@ -344,23 +347,16 @@ def test_online_output_pinned(name):
     """The online pass's full output is pinned byte for byte: visited sites
     per attempt, layer marks, attempts, successes, routing layers,
     connection failures and fusions by kind."""
-    import hashlib
-    import json
-
     family, qubits, kwargs = _pinned_online_configs()[name]
     dump = json.dumps(_canonical_reshape(family, qubits, kwargs), sort_keys=True)
     assert hashlib.sha256(dump.encode()).hexdigest() == ONLINE_DIGESTS[name]
 
 
 def test_concurrent_compiles_match_serial():
-    """Two compiles running at once on a thread pool, the way the compile
+    """Compiles running at once on a thread pool, the way the compile
     service runs them, give the same results as serial compiles: no mutable
-    path-search state is shared between threads."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro import Pipeline, PipelineSettings
-    from repro.circuits import make_benchmark
-
+    path-search state is shared between threads.  A short switch interval
+    interleaves the threads inside each path search."""
     pipeline = Pipeline(PipelineSettings(fusion_success_rate=0.75))
     circuits = [make_benchmark(family, 9, seed=0) for family in ("qft", "qaoa")] * 2
 
@@ -369,6 +365,12 @@ def test_concurrent_compiles_match_serial():
         return result.rsl_count, result.fusion_count, result.reshape
 
     serial = [compile_one(index) for index in range(len(circuits))]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        concurrent = list(pool.map(compile_one, range(len(circuits))))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(circuits)) as pool:
+            futures = [pool.submit(compile_one, index) for index in range(len(circuits))]
+            concurrent = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
     assert concurrent == serial
