@@ -79,7 +79,7 @@ def _frontier_template(
 
 
 def frontier_graph(rows: int, cols: int, lanes: int):
-    """A fixed-degree frontier graph on a ``rows x cols`` grid, edges unset.
+    """A fixed-degree frontier graph on a ``rows x cols`` grid, all self-loops.
 
     Node ``r * cols + c`` owns one out-edge slot per move of
     :data:`FRONTIER_MOVES`, in move order, and a virtual super-source
