@@ -27,6 +27,7 @@ from repro.online import (
     sample_lattice,
     spanning_probability,
 )
+from repro.online import percolation
 from repro.online.modular import ModularLayout
 
 
@@ -161,6 +162,20 @@ class TestRenormalize:
         lattice = sample_lattice(12, 1.0, rng=0)
         result = renormalize(lattice, 3)
         assert result.average_node_size == pytest.approx(4.0)
+
+    def test_one_graph_per_strip_shape(self):
+        """The 2k path searches of one RSL run on two CSR graphs, one per
+        strip shape, refilled per search rather than rebuilt."""
+        built = []
+
+        def counting_graph(*shape):
+            built.append(shape)
+            return percolation.frontier_graph(*shape)
+
+        with patch("repro.online.renormalize.frontier_graph", counting_graph):
+            result = renormalize(sample_lattice(24, 1.0, rng=0), 4)
+        assert result.success
+        assert sorted(built) == [(6, 28, 6), (24, 10, 6)]
 
 
 class TestModular:
